@@ -238,12 +238,19 @@ def _cmd_table(args) -> int:
     tol = _resolve_tol(args)
     cfg = _resolve_cfg(args, tol)
     rows = []
+    converged = True
+
+    def result_row(n: int, r: MethodResult) -> None:
+        nonlocal converged
+        converged = converged and r.converged
+        rows.append({"n": n, "value": r.value, "error_estimate": r.error_estimate})
+        flags = "" if r.converged else f"  [{','.join(r.flags)}]"
+        print(f"{n:<2d} {r.value:.15g}  est {r.error_estimate:.3g}{flags}")
+
     if args.kind == "gamma_n":
         print(f"n  gamma_n(u={args.argument:.15g})  [binomial-series route]")
         for n in range(args.max_n + 1):
-            r = gamma_hasse(n, args.argument, cfg=cfg)
-            rows.append({"n": n, "value": r.value, "error_estimate": r.error_estimate})
-            print(f"{n:<2d} {r.value:.15g}  est {r.error_estimate:.3g}")
+            result_row(n, gamma_hasse(n, args.argument, cfg=cfg))
     elif args.kind == "brede_coeffs":
         print("n  p_n coefficients (ascending degree)")
         for n in range(args.max_n + 1):
@@ -260,12 +267,10 @@ def _cmd_table(args) -> int:
     elif args.kind == "In":
         print("n  I_n = int_0^inf log^n(v) e^{-v} B(v) dv")
         for n in range(args.max_n + 1):
-            r = i_n_integral(n, cfg)
-            rows.append({"n": n, "value": r.value, "error_estimate": r.error_estimate})
-            print(f"{n:<2d} {r.value:.15g}  est {r.error_estimate:.3g}")
+            result_row(n, i_n_integral(n, cfg))
     if args.json is not None:
         _write_json(args.json, {"version": __version__, "kind": args.kind, "rows": rows})
-    return EX_OK
+    return EX_OK if converged else EX_NUMERICAL
 
 
 def main(argv: Optional[List[str]] = None) -> int:

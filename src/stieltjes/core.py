@@ -37,7 +37,6 @@ from typing import Optional, Tuple
 
 import mpmath as mp
 import numpy as np
-from scipy import special as _sp
 
 from .bellpoly import gamma_derivative_at_one, inv_gamma_derivative_at_zero
 from .quad import (
@@ -48,7 +47,7 @@ from .quad import (
     integrate_finite,
     integrate_semiaxis,
 )
-from .specfun import constant_table
+from .specfun import constant_table, log_gamma
 
 __all__ = [
     "Method",
@@ -177,6 +176,20 @@ def _log_power_prefactor(n: int, u: float) -> float:
     1/(2u) - log u)."""
     lg = math.log(u)
     return lg**n / (2.0 * u) - lg ** (n + 1) / (n + 1)
+
+
+def _hermite_weighted(g):
+    """Integrand on (0, inf) for a g carrying the 1/(e^{2 pi x} - 1) weight.
+
+    g only ever sees the clamped nodes xc = min(x, _WEIGHT_CUTOFF); past the
+    cutoff the weighted integrand is identically zero to binary64.
+    """
+
+    def f(x):
+        xc = np.minimum(x, _WEIGHT_CUTOFF)
+        return np.where(x > _WEIGHT_CUTOFF, 0.0, g(xc))
+
+    return f
 
 
 # --- Hasse series with exact integral tail ----------------------------------
@@ -319,14 +332,13 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
     u = req.u
     prefactor = _log_power_prefactor(req.n, u)
 
-    def f(x):
-        xc = np.minimum(x, _WEIGHT_CUTOFF)
+    def f(xc):
         z = u + 1j * xc
         num = -2.0 * np.imag((u - 1j * xc) * np.log(z) ** req.n)
         den = (u * u + xc * xc) * np.expm1(2.0 * math.pi * xc)
-        return np.where(x > _WEIGHT_CUTOFF, 0.0, num / den)
+        return num / den
 
-    r = integrate_semiaxis(f, cfg)
+    r = integrate_semiaxis(_hermite_weighted(f), cfg)
     value = prefactor + r.value
     max_term = max(abs(prefactor), abs(r.value))
     return MethodResult(
@@ -348,18 +360,16 @@ def gamma1_hermite(u: float, cfg: Optional[QuadConfig] = None) -> MethodResult:
     req = GammaRequest(1, float(u))
     u = req.u
 
-    def f_log(x):
-        xc = np.minimum(x, _WEIGHT_CUTOFF)
+    def f_log(xc):
         den = (u * u + xc * xc) * np.expm1(2.0 * math.pi * xc)
-        return np.where(x > _WEIGHT_CUTOFF, 0.0, xc * np.log(u * u + xc * xc) / den)
+        return xc * np.log(u * u + xc * xc) / den
 
-    def f_atan(x):
-        xc = np.minimum(x, _WEIGHT_CUTOFF)
+    def f_atan(xc):
         den = (u * u + xc * xc) * np.expm1(2.0 * math.pi * xc)
-        return np.where(x > _WEIGHT_CUTOFF, 0.0, np.arctan2(xc, u) / den)
+        return np.arctan2(xc, u) / den
 
-    r1 = integrate_semiaxis(f_log, cfg)
-    r2 = integrate_semiaxis(f_atan, cfg)
+    r1 = integrate_semiaxis(_hermite_weighted(f_log), cfg)
+    r2 = integrate_semiaxis(_hermite_weighted(f_atan), cfg)
     prefactor = math.log(u) / (2.0 * u) - math.log(u) ** 2 / 2.0
     value = prefactor + r1.value - 2.0 * u * r2.value
     max_term = max(abs(prefactor), abs(r1.value), abs(2.0 * u * r2.value))
@@ -637,12 +647,11 @@ def zeta_second0(u: float, cfg: Optional[QuadConfig] = None) -> float:
     if not u > 0.0:
         raise ValueError(f"u must be positive, got {u!r}")
 
-    def f(x):
-        xc = np.minimum(x, _WEIGHT_CUTOFF)
+    def f(xc):
         num = np.log(u * u + xc * xc) * np.arctan2(xc, u)
-        return np.where(x > _WEIGHT_CUTOFF, 0.0, num / np.expm1(2.0 * math.pi * xc))
+        return num / np.expm1(2.0 * math.pi * xc)
 
-    r = integrate_semiaxis(f, cfg)
+    r = integrate_semiaxis(_hermite_weighted(f), cfg)
     lg = math.log(u)
     return (0.5 - u) * lg * lg + 2.0 * u * lg - 2.0 * u - 2.0 * r.value
 
@@ -671,7 +680,7 @@ def barnes_g_log(t: float, cfg: Optional[QuadConfig] = None) -> float:
 
     r = integrate_semiaxis(f, cfg)
     return (
-        t * float(_sp.gammaln(t))
+        t * log_gamma(t)
         + (t * t - 1.0) / 4.0
         - 0.5 * t * (t - 1.0) * math.log(t)
         + r.value
@@ -698,13 +707,12 @@ def hurwitz_hermite(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
     if s == 1.0:
         raise ValueError("s = 1 is the pole of zeta(s, u)")
 
-    def f(x):
-        xc = np.minimum(x, _WEIGHT_CUTOFF)
+    def f(xc):
         num = np.sin(s * np.arctan2(xc, u))
         den = (u * u + xc * xc) ** (0.5 * s) * np.expm1(2.0 * math.pi * xc)
-        return np.where(x > _WEIGHT_CUTOFF, 0.0, num / den)
+        return num / den
 
-    r = integrate_semiaxis(f, cfg)
+    r = integrate_semiaxis(_hermite_weighted(f), cfg)
     return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + 2.0 * r.value
 
 
@@ -752,7 +760,7 @@ def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
         return np.where(live, np.exp(-u * vl) * kernel, 0.0)
 
     r = integrate_semiaxis(f, cfg)
-    return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + float(_sp.rgamma(s)) * r.value
+    return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + float(mp.rgamma(s)) * r.value
 
 
 # --- Maclaurin delta constants ----------------------------------------------

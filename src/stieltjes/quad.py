@@ -42,6 +42,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .specfun import BERN_OVER_FACT
+
 __all__ = [
     "QuadConfig",
     "QuadResult",
@@ -234,26 +236,16 @@ def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadRes
 
 # --- regularized Binet kernel ------------------------------------------------
 
-# B_{2j}/(2j)! for j = 1..7: 1/12, -1/720, 1/30240, -1/1209600, 1/47900160,
-# -691/1307674368000, 1/74724249600.  Note (2j)! in the denominators; with
-# the series cut after B_14 the truncation error at |v| = 1/2 is ~2e-15 of
-# the next (B_16) term, i.e. ~1e-17 absolute.
-_BRACKET_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 720.0,
-    1.0 / 30240.0,
-    -1.0 / 1209600.0,
-    1.0 / 47900160.0,
-    -691.0 / 1307674368000.0,
-    1.0 / 74724249600.0,
-)
+# Series coefficients B_{2j}/(2j)!, j = 1..7; with the series cut after B_14
+# the truncation error at |v| = 1/2 is ~2e-15 of the next (B_16) term, i.e.
+# ~1e-17 absolute.
 _BRACKET_SWITCH = 0.5
 
 
 def _bracket_series_over_v(v2: np.ndarray) -> np.ndarray:
     """sum_j B_{2j} v^{2j-2}/(2j)! as a Horner polynomial in v^2."""
-    acc = np.full_like(v2, _BRACKET_SERIES[-1])
-    for c in _BRACKET_SERIES[-2::-1]:
+    acc = np.full_like(v2, BERN_OVER_FACT[-1])
+    for c in BERN_OVER_FACT[-2::-1]:
         acc = acc * v2 + c
     return acc
 

@@ -1,9 +1,10 @@
 """Base special functions: log-gamma, digamma, polygamma, Hurwitz zeta (s > 1).
 
-log Gamma, psi, and psi^{(p)} are thin, domain-checked wrappers over
-``scipy.special`` (well-conditioned minimax implementations; re-deriving them
-would add risk, not value).  The Hurwitz zeta function for s > 1 is an
-explicit truncated series with an Euler-Maclaurin tail,
+log Gamma comes from :func:`math.lgamma`; psi, psi^{(p)} and the zeta(k)
+of the constant table are mpmath values rounded once to binary64.  All are
+domain-checked here; re-deriving them would add risk, not value.  The
+Hurwitz zeta function for s > 1 is an explicit truncated series with an
+Euler-Maclaurin tail,
 
     zeta(s, x) = sum_{k=0}^{N-1} (x+k)^{-s} + M^{1-s}/(s-1) + M^{-s}/2
                  + sum_{j=1}^{6} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * M^{-s-2j+1},
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
+import mpmath as mp
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "ConstantTable",
@@ -34,16 +35,23 @@ __all__ = [
 ]
 
 _MAX_POLYGAMMA = 12
+# mpmath's psi carries only ~10 guard bits of *absolute* precision, so at
+# binary64 working precision the float next to its zero x0 = 1.4616... comes
+# out with a relative error of 4e-3; doubling the precision rounds it right.
+_PSI_PREC = 106
 
-# B_{2j}/(2j)! for j = 1..6: the Euler-Maclaurin / Binet-kernel coefficient
-# family 1/12, -1/720, 1/30240, -1/1209600, 1/47900160, -691/1307674368000.
-_BERN_OVER_FACT = (
+# B_{2j}/(2j)! for j = 1..7: 1/12, -1/720, 1/30240, -1/1209600, 1/47900160,
+# -691/1307674368000, 1/74724249600.  Note (2j)! in the denominators.  The
+# one table of the package: the Euler-Maclaurin tail below uses j = 1..6, the
+# Binet-kernel series of :mod:`stieltjes.quad` all seven.
+BERN_OVER_FACT = (
     1.0 / 12.0,
     -1.0 / 720.0,
     1.0 / 30240.0,
     -1.0 / 1209600.0,
     1.0 / 47900160.0,
     -691.0 / 1307674368000.0,
+    1.0 / 74724249600.0,
 )
 
 
@@ -76,7 +84,7 @@ def constant_table(k_max: int = 20) -> ConstantTable:
     """Immutable constant table with zeta(2)..zeta(k_max); cached per k_max."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    zetas = tuple(float(_sp.zeta(k, 1.0)) for k in range(2, k_max + 1))
+    zetas = tuple(float(mp.zeta(k)) for k in range(2, k_max + 1))
     return ConstantTable(
         euler_gamma=float(np.euler_gamma),
         log_2=math.log(2.0),
@@ -93,20 +101,23 @@ def _require_positive(x: float, name: str = "x") -> float:
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0; relative error <= 1e-13 on [1e-3, 1e6]."""
-    return float(_sp.gammaln(_require_positive(x)))
+    """log Gamma(x) for x > 0; relative error <= 1e-13 on [1e-3, 1e6] away
+    from the zeros at x = 1 and x = 2, absolute error ~1e-15 next to them."""
+    return math.lgamma(_require_positive(x))
 
 
 def digamma(x: float) -> float:
     """psi(x) = d/dx log Gamma(x) for x > 0; psi(1) = -gamma."""
-    return float(_sp.digamma(_require_positive(x)))
+    x = _require_positive(x)
+    with mp.workprec(_PSI_PREC):
+        return float(mp.digamma(x))
 
 
 def polygamma(p: int, x: float) -> float:
     """psi^{(p)}(x) = (-1)^{p+1} p! zeta(p+1, x) for 1 <= p <= 12, x > 0."""
     if not 1 <= p <= _MAX_POLYGAMMA:
         raise ValueError(f"polygamma order must be in [1, {_MAX_POLYGAMMA}]")
-    return float(_sp.polygamma(p, _require_positive(x)))
+    return float(mp.polygamma(p, _require_positive(x)))
 
 
 def hurwitz_zeta_series(s: float, x: float) -> float:
@@ -130,7 +141,7 @@ def hurwitz_zeta_series(s: float, x: float) -> float:
     power = m ** (-s - 1.0)
     m2 = m * m
     correction = 0.0
-    for j, coef in enumerate(_BERN_OVER_FACT, start=1):
+    for j, coef in enumerate(BERN_OVER_FACT[:6], start=1):
         correction += coef * rising * power
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         power /= m2

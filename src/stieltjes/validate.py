@@ -70,6 +70,7 @@ from .core import (
 )
 from .quad import (
     QuadConfig,
+    QuadResult,
     atan_laplace_check,
     binet_bracket,
     binet_bracket_over_v,
@@ -170,6 +171,18 @@ def _pair(
         evaluations=evaluations,
         flags=flags,
     )
+
+
+def _quad_pair(
+    check_id: str,
+    inputs: Dict[str, float],
+    r: QuadResult,
+    right: float,
+    tolerance: float,
+) -> CheckRecord:
+    """:func:`_pair` with a quadrature result on the left, flagged if unconverged."""
+    flags = () if r.converged else (_ERROR_FLAG,)
+    return _pair(check_id, inputs, r.value, right, tolerance, r.evaluations, flags)
 
 
 def _margin(check_id: str, inputs: Dict[str, float], result: MethodResult) -> CheckRecord:
@@ -307,50 +320,42 @@ def suite_quad(cfg: Optional[QuadConfig] = None) -> List[CheckRecord]:
 
         r = integrate_finite(f, 0.0, 1.0, cfg)
         records.append(
-            _pair(
+            _quad_pair(
                 f"quad.log_moment_finite(n={n})",
                 {"n": n},
-                r.value,
+                r,
                 (-1.0) ** n * factorial(n) / 2.0 ** (n + 1),
                 1e-13 * max(1.0, factorial(n)),
-                r.evaluations,
-                () if r.converged else (_ERROR_FLAG,),
             )
         )
     r = integrate_finite(lambda v: np.full_like(v, 1.0), 0.0, 1.0, cfg)
     records.append(
-        _pair(
+        _quad_pair(
             "quad.unit",
             {},
-            r.value,
+            r,
             1.0,
             1e-14,
-            r.evaluations,
-            () if r.converged else (_ERROR_FLAG,),
         )
     )
     r = integrate_finite(lambda v: 3.0 * v**3 - 2.0 * v + 1.0, 0.0, 1.0, cfg)
     records.append(
-        _pair(
+        _quad_pair(
             "quad.cubic_exactness",
             {},
-            r.value,
+            r,
             0.75,
             1e-14,
-            r.evaluations,
-            () if r.converged else (_ERROR_FLAG,),
         )
     )
     r = integrate_finite(lambda t: 1.0 / np.log(t) + 1.0 / (1.0 - t), 0.0, 1.0, cfg)
     records.append(
-        _pair(
+        _quad_pair(
             "quad.euler_integral",
             {},
-            r.value,
+            r,
             float(np.euler_gamma),
             1e-12,
-            r.evaluations,
-            () if r.converged else (_ERROR_FLAG,),
         )
     )
     r = integrate_finite(
@@ -360,14 +365,12 @@ def suite_quad(cfg: Optional[QuadConfig] = None) -> List[CheckRecord]:
         cfg,
     )
     records.append(
-        _pair(
+        _quad_pair(
             "quad.loglog_integral",
             {},
-            r.value,
+            r,
             -gamma_value(1, 1.0) - float(np.euler_gamma) ** 2,
             1e-11,
-            r.evaluations,
-            () if r.converged else (_ERROR_FLAG,),
         )
     )
     for k in range(6):
@@ -378,26 +381,22 @@ def suite_quad(cfg: Optional[QuadConfig] = None) -> List[CheckRecord]:
 
         r = integrate_semiaxis(moment, cfg)
         records.append(
-            _pair(
+            _quad_pair(
                 f"quad.gamma_moment(k={k})",
                 {"k": k},
-                r.value,
+                r,
                 float(factorial(k)),
                 1e-13 * max(1.0, factorial(k)),
-                r.evaluations,
-                () if r.converged else (_ERROR_FLAG,),
             )
         )
     r = integrate_semiaxis(lambda v: np.exp(-v) * np.log(v), cfg)
     records.append(
-        _pair(
+        _quad_pair(
             "quad.log_moment_semiaxis",
             {},
-            r.value,
+            r,
             -float(np.euler_gamma),
             1e-13,
-            r.evaluations,
-            () if r.converged else (_ERROR_FLAG,),
         )
     )
     for v in (0.1, 0.3, 0.49, 0.51, 1.0, 5.0):
@@ -668,14 +667,12 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> List[CheckRecord]:
         lambda v: -np.expm1(-v) / v * binet_bracket_over_v(v), cfg
     )
     records.append(
-        _pair(
+        _quad_pair(
             "identities.quarter_integral",
             {},
-            r.value,
+            r,
             0.25,
             1e-10,
-            r.evaluations,
-            () if r.converged else (_ERROR_FLAG,),
         )
     )
     for n in range(7):
@@ -732,14 +729,12 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> List[CheckRecord]:
     for m in range(7):
         r = integrate_semiaxis(lambda v, m=m: np.exp(-v) * np.log(v) ** m, cfg)
         records.append(
-            _pair(
+            _quad_pair(
                 f"identities.gamma_derivative_quadrature(m={m})",
                 {"m": m},
-                r.value,
+                r,
                 gamma_derivative_at_one(m),
                 1e-8,
-                r.evaluations,
-                () if r.converged else (_ERROR_FLAG,),
             )
         )
     for n in range(11):
@@ -796,14 +791,12 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> List[CheckRecord]:
                 lambda v, poly=poly, x=x: poly(x - np.log(v)) * np.exp(-v), cfg
             )
             records.append(
-                _pair(
+                _quad_pair(
                     f"identities.brede_unit_moment(n={n},x={x:g})",
                     {"n": n, "x": x},
-                    r.value,
+                    r,
                     x**n,
                     1e-8,
-                    r.evaluations,
-                    () if r.converged else (_ERROR_FLAG,),
                 )
             )
             # Same shift against the gamma-generating weight: binomials of
@@ -818,14 +811,12 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> List[CheckRecord]:
                 comb(n, k) * x**k * gamma_value(n - k, 1.0) for k in range(n + 1)
             )
             records.append(
-                _pair(
+                _quad_pair(
                     f"identities.brede_gamma_moment(n={n},x={x:g})",
                     {"n": n, "x": x},
-                    r.value,
+                    r,
                     moment,
                     1e-8,
-                    r.evaluations,
-                    () if r.converged else (_ERROR_FLAG,),
                 )
             )
     for t, want in ((1.0, 0.0), (2.0, 0.0), (3.0, math.log(2.0))):

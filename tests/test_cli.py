@@ -65,9 +65,18 @@ def test_gamma_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_gamma_numerical_failure_is_exit_2(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "-n", "5", "-u", "0.5", "--method", "coffey", "--max-level", "2"],
+        ["table", "In", "--max-n", "12", "--max-level", "2"],
+        ["table", "gamma_n", "--max-n", "12", "--max-level", "2"],
+    ],
+    ids=["gamma", "table_In", "table_gamma_n"],
+)
+def test_gamma_numerical_failure_is_exit_2(argv, capsys):
     """A starved quadrature must flag no_convergence and exit 2."""
-    rc = main(["gamma", "-n", "5", "-u", "0.5", "--method", "coffey", "--max-level", "2"])
+    rc = main(argv)
     assert rc == EX_NUMERICAL
     assert "no_convergence" in capsys.readouterr().out
 

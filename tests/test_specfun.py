@@ -1,9 +1,13 @@
 """Tests for the base special functions and the shared constant table."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stieltjes
 from stieltjes import (
     constant_table,
     digamma,
@@ -62,6 +66,9 @@ def test_digamma_values():
     assert abs(digamma(2.0) - (1.0 - g)) < 1e-15
     # psi(1/2) = -gamma - 2 log 2
     assert abs(digamma(0.5) + g + 2.0 * refs.CONST["log_2"]) < 1e-14
+    # Relative accuracy at the double nearest the zero x0 = 1.46163...;
+    # the reference is psi at that double to 50 digits (mpmath).
+    assert abs(digamma(1.4616321449683622) / -9.241265521729427e-17 - 1.0) < 1e-12
 
 
 def test_polygamma_values():
@@ -117,3 +124,20 @@ def test_hurwitz_series_domain():
         hurwitz_zeta_series(0.5, 1.0)
     with pytest.raises(ValueError):
         hurwitz_zeta_series(2.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_import_does_not_load_scipy():
+    """The special values come from math and mpmath; scipy is never imported."""
+    src = str(Path(stieltjes.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import stieltjes; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
