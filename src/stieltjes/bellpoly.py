@@ -24,16 +24,19 @@ and of its reciprocal at the point 1:
     Gamma^{(m)}(1)                    = Y_m(psi(1), psi'(1), ..., psi^{(m-1)}(1)),
     d^k/dx^k [1/Gamma(1+x)] at x = 0  = Y_k(-psi(1), -psi'(1), ..., -psi^{(k-1)}(1)),
 
-where psi^{(p)}(1) = (-1)^{p+1} p! zeta(p+1) and psi(1) = -gamma.
+where psi^{(p)}(1) = (-1)^{p+1} p! zeta(p+1) and psi(1) = -gamma.  Those
+arguments alternate in sign and cancel about five digits by order 12, so
+both derivative tables are run once at 40 digits and rounded only then.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .specfun import constant_table
+import mpmath as mp
 
 __all__ = [
     "MAX_ORDER",
@@ -168,12 +171,17 @@ def bell_number(n: int) -> int:
     return eval_bell(n, [1] * n)
 
 
-def _psi_derivative_at_one(p: int) -> float:
-    """psi^{(p)}(1): -gamma for p = 0, else (-1)^{p+1} p! zeta(p+1)."""
-    table = constant_table()
-    if p == 0:
-        return -table.euler_gamma
-    return (-1) ** (p + 1) * math.factorial(p) * table.zeta(p + 1)
+@lru_cache(maxsize=None)
+def _derivative_tables() -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """(Gamma^{(m)}(1), [1/Gamma]^{(m)}(1)) for m = 0.._MAX_DERIVATIVE, each
+    a Bell recurrence at 40 digits over psi^{(p)}(1), rounded once."""
+    with mp.workdps(40):
+        psi = [mp.psi(p, 1) for p in range(_MAX_DERIVATIVE)]
+        orders = range(_MAX_DERIVATIVE + 1)
+        return (
+            tuple(float(eval_bell(m, psi)) for m in orders),
+            tuple(float(eval_bell(m, [-x for x in psi])) for m in orders),
+        )
 
 
 def gamma_derivative_at_one(m: int) -> float:
@@ -184,8 +192,7 @@ def gamma_derivative_at_one(m: int) -> float:
     """
     if not 0 <= m <= _MAX_DERIVATIVE:
         raise ValueError(f"derivative order must be in [0, {_MAX_DERIVATIVE}]")
-    xs = [_psi_derivative_at_one(p) for p in range(m)]
-    return float(eval_bell(m, xs))
+    return _derivative_tables()[0][m]
 
 
 def inv_gamma_derivative_at_zero(k: int) -> float:
@@ -197,5 +204,4 @@ def inv_gamma_derivative_at_zero(k: int) -> float:
     """
     if not 0 <= k <= _MAX_DERIVATIVE:
         raise ValueError(f"derivative order must be in [0, {_MAX_DERIVATIVE}]")
-    xs = [-_psi_derivative_at_one(p) for p in range(k)]
-    return float(eval_bell(k, xs))
+    return _derivative_tables()[1][k]

@@ -243,7 +243,9 @@ def _cmd_table(args) -> int:
     def result_row(n: int, r: MethodResult) -> None:
         nonlocal converged
         converged = converged and r.converged
-        rows.append({"n": n, "value": r.value, "error_estimate": r.error_estimate})
+        rows.append(
+            {"n": n, "value": r.value, "error_estimate": r.error_estimate, "flags": list(r.flags)}
+        )
         flags = "" if r.converged else f"  [{','.join(r.flags)}]"
         print(f"{n:<2d} {r.value:.15g}  est {r.error_estimate:.3g}{flags}")
 

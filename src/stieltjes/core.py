@@ -196,8 +196,9 @@ def _hermite_weighted(g):
 
 
 @lru_cache(maxsize=64)
-def _hasse_tail_density(j_max: int):
-    """Vectorized rho_J(t) = (t - L_{J+1}(phi))/phi, phi = 1 - e^{-t}.
+def _hasse_tail_kernel(j_max: int):
+    """Vectorized K(t) = rho_J(t)/t, rho_J(t) = (t - L_{J+1}(phi))/phi,
+    phi = 1 - e^{-t}.
 
     This is the generating-function remainder of the Hasse outer sum
     truncated after j = J: sum_{j>J} phi^j/(j+1) = rho_J(t)/t with
@@ -209,7 +210,7 @@ def _hasse_tail_density(j_max: int):
     recip = [1.0 / m for m in range(j_max + 1, 0, -1)]
     log_threshold = math.log(1e-19)
 
-    def rho(t: np.ndarray) -> np.ndarray:
+    def kernel(t: np.ndarray) -> np.ndarray:
         phi = -np.expm1(-t)
         acc = np.zeros_like(phi)
         for c in recip:
@@ -218,9 +219,9 @@ def _hasse_tail_density(j_max: int):
             bound = (j_max + 1) * np.log(phi) - np.log(
                 (j_max + 2) * np.maximum(1.0 - phi, 1e-305)
             )
-        return np.where(bound > log_threshold, (t - acc) / phi, 0.0)
+        return np.where(bound > log_threshold, (t - acc) / phi, 0.0) / t
 
-    return rho
+    return kernel
 
 
 def _hasse_head(n: int, u: float, j_max: int) -> Tuple[float, float]:
@@ -248,6 +249,37 @@ def _hasse_head(n: int, u: float, j_max: int) -> Tuple[float, float]:
         return float(head), max_term
 
 
+def _log_moments(kernel, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
+    """M_p(u) = int_0^inf log^p(v) e^{-u v} K(v) dv for every p in ``powers``,
+    as the rows of one stacked exp-sinh pass over the kernel K."""
+
+    def f(v):
+        damped = np.exp(-u * v)
+        lg = np.log(v)
+        kv = kernel(v)
+        out = np.empty((len(powers), len(v)))
+        for row, p in zip(out, powers):
+            row[:] = damped * lg**p * kv if p else damped * kv
+        return out
+
+    return integrate_semiaxis(f, cfg)
+
+
+def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
+    """(-1)^n sum_{k=0}^{n} C(n,k) c_k M_{n-k}(u), the shared tail of the
+    Hasse and Bell-family routes, from one moment pass: returns the sum, its
+    propagated estimate, the largest |term| and the pass's QuadResult."""
+    r = _log_moments(kernel, u, range(n + 1), cfg)
+    total = estimate = max_term = 0.0
+    for k, c_k in enumerate(bell_family_coefficients(n)):
+        weight = comb(n, k) * c_k
+        term = weight * r.value[n - k]
+        total += term
+        estimate += abs(weight) * r.error_estimate[n - k]
+        max_term = max(max_term, abs(term))
+    return (-1.0) ** n * total, estimate, max_term, r
+
+
 def gamma_hasse(
     n: int,
     u: float = 1.0,
@@ -270,41 +302,25 @@ def gamma_hasse(
                             int_0^inf log^{n-m}(t) e^{-u t} rho_J(t)/t dt,
 
     where rho_J is the truncated-geometric remainder density (see
-    ``_hasse_tail_density``) and c_m = d^m/ds^m [1/Gamma(1+s)] at 0.  The
+    ``_hasse_tail_kernel``) and c_m = d^m/ds^m [1/Gamma(1+s)] at 0.  The
     result is therefore independent of ``j_max`` to roundoff; ``j_max``
     only moves work between the series head and the tail integrals.
     """
     req = GammaRequest(n, float(u))
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    head, max_term = _hasse_head(req.n, req.u, j_max)
-    density = _hasse_tail_density(j_max)
-    coefficients = [inv_gamma_derivative_at_zero(m) for m in range(req.n + 1)]
-    tail = 0.0
-    tail_estimate = 0.0
-    evaluations = j_max + 1
-    converged = True
-    for m, c_m in enumerate(coefficients):
-        p = req.n - m
-
-        def f(t, p=p):
-            return np.log(t) ** p * np.exp(-req.u * t) * density(t) / t
-
-        r = integrate_semiaxis(f, cfg)
-        weight = comb(req.n, m) * c_m
-        tail += weight * r.value
-        tail_estimate += abs(weight) * r.error_estimate
-        evaluations += r.evaluations
-        converged = converged and r.converged
-        max_term = max(max_term, abs(weight * r.value))
-    value = -head / (req.n + 1) + (-1.0) ** req.n * tail
-    estimate = tail_estimate + 4e-16 * max(abs(value), max_term)
+    head, head_term = _hasse_head(req.n, req.u, j_max)
+    tail, tail_estimate, tail_term, r = _moment_convolution(
+        _hasse_tail_kernel(j_max), req.n, req.u, cfg
+    )
+    value = -head / (req.n + 1) + tail
+    max_term = max(head_term, tail_term)
     return MethodResult(
         value=value,
-        error_estimate=estimate,
+        error_estimate=tail_estimate + 4e-16 * max(abs(value), max_term),
         method=Method.HASSE,
-        evaluations=evaluations,
-        flags=_assemble_flags(max_term, value, converged),
+        evaluations=j_max + 1 + r.evaluations,
+        flags=_assemble_flags(max_term, value, r.converged),
     )
 
 
@@ -398,17 +414,6 @@ def bell_family_coefficients(k_max: int) -> Tuple[float, ...]:
     return tuple(inv_gamma_derivative_at_zero(k) for k in range(k_max + 1))
 
 
-def _bracket_log_integral(
-    p: int, u: float, shift: float = 0.0, cfg: Optional[QuadConfig] = None
-) -> QuadResult:
-    """int_0^inf e^{-u v} log^p(v) [B(v) + shift] dv with the Binet kernel."""
-
-    def f(v):
-        return np.exp(-u * v) * np.log(v) ** p * (binet_bracket(v) + shift)
-
-    return integrate_semiaxis(f, cfg)
-
-
 def gamma_bell_family(
     n: int,
     u: float = 1.0,
@@ -437,28 +442,18 @@ def gamma_bell_family(
     if kernel == "bare" and (u != 1.0 or req.n < 1):
         raise ValueError("kernel='bare' is only valid at u = 1 with n >= 1")
     shift = 0.0 if kernel == "half" else -0.5
-    coefficients = bell_family_coefficients(req.n)
     prefactor = _log_power_prefactor(req.n, u)
-    total = 0.0
-    estimate = 0.0
-    evaluations = 0
-    converged = True
-    max_term = abs(prefactor)
-    for k, c_k in enumerate(coefficients):
-        r = _bracket_log_integral(req.n - k, u, shift, cfg)
-        weight = comb(req.n, k) * c_k
-        total += weight * r.value
-        estimate += abs(weight) * r.error_estimate
-        evaluations += r.evaluations
-        converged = converged and r.converged
-        max_term = max(max_term, abs(weight * r.value))
-    value = prefactor + (-1.0) ** req.n * total
+    total, estimate, max_term, r = _moment_convolution(
+        lambda v: binet_bracket(v) + shift, req.n, u, cfg
+    )
+    value = prefactor + total
+    max_term = max(abs(prefactor), max_term)
     return MethodResult(
         value=value,
         error_estimate=estimate + 2e-16 * max_term,
         method=Method.BELL_FAMILY,
-        evaluations=evaluations,
-        flags=_assemble_flags(max_term, value, converged),
+        evaluations=r.evaluations,
+        flags=_assemble_flags(max_term, value, r.converged),
     )
 
 
@@ -559,7 +554,7 @@ def a_coefficient(n: int, cfg: Optional[QuadConfig] = None) -> Tuple[float, floa
     """
     if not 0 <= n <= 8:
         raise ValueError("n must be in [0, 8]")
-    integral = _bracket_log_integral(n, 1.0, shift=0.5, cfg=cfg).value
+    integral = _log_moments(lambda v: binet_bracket(v) + 0.5, 1.0, (n,), cfg).value[0]
     binomial = math.fsum(
         comb(n, j) * (-1.0) ** j * gamma_value(j, 1.0) * gamma_derivative_at_one(n - j)
         for j in range(n + 1)
@@ -589,7 +584,7 @@ def inversion_sum(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> T
         * gamma_derivative_at_one(n - k)
         for k in range(n + 1)
     )
-    integral_side = _bracket_log_integral(n, u, 0.0, cfg).value
+    integral_side = _log_moments(binet_bracket, u, (n,), cfg).value[0]
     return sum_side, integral_side
 
 
@@ -605,13 +600,13 @@ def i_n_integral(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
     """
     if not 0 <= n <= _TESTED_MAX_ORDER:
         raise ValueError(f"n must be in [0, {_TESTED_MAX_ORDER}]")
-    r = _bracket_log_integral(n, 1.0, 0.0, cfg)
+    r = _log_moments(binet_bracket, 1.0, (n,), cfg)
     return MethodResult(
-        value=r.value,
-        error_estimate=r.error_estimate,
+        value=r.value[0],
+        error_estimate=r.error_estimate[0],
         method=Method.BELL_FAMILY,
         evaluations=r.evaluations,
-        flags=_assemble_flags(abs(r.value), r.value, r.converged),
+        flags=_assemble_flags(abs(r.value[0]), r.value[0], r.converged),
     )
 
 
@@ -629,11 +624,8 @@ def zeta_prime0(u: float, cfg: Optional[QuadConfig] = None) -> float:
     if not u > 0.0:
         raise ValueError(f"u must be positive, got {u!r}")
 
-    def f(v):
-        return np.exp(-u * v) * binet_bracket_over_v(v)
-
-    r = integrate_semiaxis(f, cfg)
-    return r.value - (0.5 - u) * math.log(u) - u
+    moment = _log_moments(binet_bracket_over_v, u, (0,), cfg).value[0]
+    return moment - (0.5 - u) * math.log(u) - u
 
 
 def zeta_second0(u: float, cfg: Optional[QuadConfig] = None) -> float:

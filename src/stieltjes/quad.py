@@ -7,6 +7,11 @@ difference between the two finest levels is reported (honestly, as a
 heuristic) in ``QuadResult.error_estimate``.  Convergence is declared when
 successive levels differ by at most ``target_tol * max(1, |S|)``.
 
+An integrand may return one row of samples or a stack of k rows, shape
+(k, len(x)).  The nodes do not depend on the integrand, so a stack costs one
+pass; each row keeps the value and estimate of the first level at which it
+met the test, exactly as if it had been integrated alone.
+
 Numerical policy, all consequences of binary64:
 
 * Abscissas near finite endpoints are generated from their *distance* to the
@@ -15,11 +20,10 @@ Numerical policy, all consequences of binary64:
   abscissa still rounds onto an endpoint are dropped; for integrable
   *logarithmic* endpoint singularities the dropped mass is below 1e-15, while
   hard algebraic singularities (x^{-1/2} style) floor around 1e-10.
-* Semi-axis node generation stops once the transformed weight underflows
-  ``truncation_guard`` on the decaying side; on the growing side abscissas
-  are capped at e^668 so the weight x*lambda*cosh(t) stays finite, and the
-  integrand's required exponential decay has underflowed to exactly 0 long
-  before that cap.
+* Node generation stops where the transformed weight underflows 1e-300;
+  on the semi-axis's growing side abscissas are capped at e^668 so the
+  weight x*lambda*cosh(t) stays finite, and the integrand's required
+  exponential decay has underflowed to exactly 0 long before that cap.
 * Any non-finite integrand sample raises :class:`IntegrandError` carrying
   the offending abscissa.
 
@@ -38,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +64,13 @@ _LAMBDA = math.pi / 2.0
 # Abscissa cap exp(668) for exp-sinh: keeps x and x*lambda*cosh(t) finite.
 _ES_ABSCISSA_LOG_CAP = 668.0
 _MIN_TOL = 1e-15
+# Weight-underflow threshold that ends node generation on a decaying side.
+_TRUNCATION_GUARD = 1e-300
+# tanh-sinh: the weight underflows the guard once 2 lambda sinh t ~ -log(guard).
+_TS_T_MAX = math.asinh(-0.5 * math.log(_TRUNCATION_GUARD) / _LAMBDA)
+# exp-sinh: the weight ~ e^z on the decaying side, x = e^z on the growing one.
+_ES_T_LO = -math.asinh(-math.log(_TRUNCATION_GUARD) / _LAMBDA)
+_ES_T_HI = math.asinh(min(-math.log(_TRUNCATION_GUARD), _ES_ABSCISSA_LOG_CAP) / _LAMBDA)
 
 
 class IntegrandError(ValueError):
@@ -76,21 +87,17 @@ class QuadConfig:
 
     ``target_tol`` is the level-to-level convergence goal (floored at 1e-15,
     the working precision); ``max_level`` bounds the refinement (level L has
-    step 2^-L); ``truncation_guard`` is the weight-underflow threshold that
-    terminates semi-axis node generation.
+    step 2^-L).
     """
 
     target_tol: float = 1e-12
     max_level: int = 12
-    truncation_guard: float = 1e-300
 
     def __post_init__(self):
         if not self.target_tol >= _MIN_TOL:
             raise ValueError(f"target_tol must be >= {_MIN_TOL}, got {self.target_tol!r}")
         if not 2 <= int(self.max_level) <= 20:
             raise ValueError(f"max_level must be in [2, 20], got {self.max_level!r}")
-        if not 0.0 < self.truncation_guard < 1.0:
-            raise ValueError("truncation_guard must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -99,16 +106,14 @@ class QuadResult:
 
     ``converged`` is False when ``max_level`` was exhausted before the
     level-difference test was met; the value and estimate are still reported.
+    A stacked integrand gives tuples of per-row values and estimates; it is
+    ``converged`` only if every row is, and ``evaluations`` counts one pass.
     """
 
-    value: float
-    error_estimate: float
+    value: Union[float, Tuple[float, ...]]
+    error_estimate: Union[float, Tuple[float, ...]]
     evaluations: int
     converged: bool = True
-
-
-def _default_config(cfg: Optional[QuadConfig]) -> QuadConfig:
-    return cfg if cfg is not None else QuadConfig()
 
 
 @lru_cache(maxsize=256)
@@ -129,11 +134,14 @@ def _level_grid(level: int, t_lo: float, t_hi: float) -> np.ndarray:
 
 
 def _eval_samples(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Evaluate f on the node vector, tolerating scalar-only integrands."""
+    """Evaluate f on the node vector, tolerating scalar-only integrands.
+
+    A vectorized f returns shape (len(x),) or a stack of rows (k, len(x)).
+    """
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(f(x), dtype=float)
-            if out.shape == x.shape:
+            if out.ndim in (1, 2) and out.shape[-1:] == x.shape:
                 return out
         except (TypeError, ValueError, ArithmeticError):
             pass
@@ -146,28 +154,42 @@ def _eval_samples(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nd
         return out
 
 
-def _check_finite(fx: np.ndarray, x: np.ndarray) -> None:
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        raise IntegrandError(float(x[np.argmax(bad)]))
+def _refine(f: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig]) -> QuadResult:
+    """Shared level-doubling driver; ``nodes(L)`` -> the (x, w) new at level L.
 
-
-def _refine(level_sum: Callable[[int], tuple], cfg: QuadConfig) -> QuadResult:
-    """Shared level-doubling driver; ``level_sum(L)`` -> (h * sum, count)."""
-    total = None
-    previous = None
+    Each row is a [total, estimate, converged] triple of plain floats.
+    """
+    cfg = cfg if cfg is not None else QuadConfig()
     evaluations = 0
-    estimate = math.inf
     for level in range(cfg.max_level + 1):
-        piece, count = level_sum(level)
-        evaluations += count
-        total = piece if level == 0 else 0.5 * total + piece
-        if previous is not None:
-            estimate = abs(total - previous)
-            if level >= 2 and estimate <= cfg.target_tol * max(1.0, abs(total)):
-                return QuadResult(total, estimate, evaluations, True)
-        previous = total
-    return QuadResult(total, estimate, evaluations, False)
+        x, w = nodes(level)
+        fx = _eval_samples(f, x)
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            raise IntegrandError(float(x[np.argmax(bad) % len(x)]))
+        evaluations += len(x)
+        h = 2.0 ** (-level)
+        sums = (fx * w).sum(axis=-1).tolist()
+        stacked = fx.ndim == 2
+        pieces = [h * s for s in sums] if stacked else [h * sums]
+        if level == 0:
+            rows = [[piece, math.inf, False] for piece in pieces]
+            pending = len(rows)
+            continue
+        for row, piece in zip(rows, pieces):
+            if not row[2]:
+                total = 0.5 * row[0] + piece
+                row[1] = abs(total - row[0])
+                row[0] = total
+                if level >= 2 and row[1] <= cfg.target_tol * max(1.0, abs(total)):
+                    row[2] = True
+                    pending -= 1
+        if not pending:
+            break
+    values, estimates, converged = zip(*rows)
+    if stacked:
+        return QuadResult(values, estimates, evaluations, all(converged))
+    return QuadResult(values[0], estimates[0], evaluations, converged[0])
 
 
 def integrate_finite(
@@ -179,31 +201,23 @@ def integrate_finite(
     admissible (see the module docstring for the binary64 accuracy caveats).
     Non-finite samples raise :class:`IntegrandError`.
     """
-    cfg = _default_config(cfg)
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
     half = 0.5 * (b - a)
-    # Weight underflows the guard once 2 lambda sinh t ~ -log(guard).
-    z_max = -0.5 * math.log(cfg.truncation_guard)
-    t_max = math.asinh(z_max / _LAMBDA)
 
-    def level_sum(level: int):
-        t = _level_grid(level, -t_max, t_max)
+    def nodes(level: int):
+        t = _level_grid(level, -_TS_T_MAX, _TS_T_MAX)
         z = _LAMBDA * np.sinh(t)
         upper = t >= 0
         offset = half * 2.0 / (np.exp(2.0 * np.abs(z)) + 1.0)
         x = np.where(upper, b - offset, a + offset)
         keep = (x > a) & (x < b)
         t, z, x = t[keep], z[keep], x[keep]
-        w = half * _LAMBDA * np.cosh(t) / np.cosh(z) ** 2
-        fx = _eval_samples(f, x)
-        _check_finite(fx, x)
-        h = 2.0 ** (-level)
-        return h * float(np.sum(fx * w)), len(x)
+        return x, half * _LAMBDA * np.cosh(t) / np.cosh(z) ** 2
 
-    return _refine(level_sum, cfg)
+    return _refine(f, nodes, cfg)
 
 
 def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -213,25 +227,16 @@ def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadRes
     like a power of log at 0.  Non-finite samples raise
     :class:`IntegrandError`.
     """
-    cfg = _default_config(cfg)
-    z_lo = math.log(cfg.truncation_guard)  # decaying side: weight ~ e^z
-    z_hi = min(-z_lo, _ES_ABSCISSA_LOG_CAP)
-    t_lo = -math.asinh(-z_lo / _LAMBDA)
-    t_hi = math.asinh(z_hi / _LAMBDA)
 
-    def level_sum(level: int):
-        t = _level_grid(level, t_lo, t_hi)
+    def nodes(level: int):
+        t = _level_grid(level, _ES_T_LO, _ES_T_HI)
         z = _LAMBDA * np.sinh(t)
         keep = z < _ES_ABSCISSA_LOG_CAP
         t, z = t[keep], z[keep]
         x = np.exp(z)
-        w = x * _LAMBDA * np.cosh(t)
-        fx = _eval_samples(f, x)
-        _check_finite(fx, x)
-        h = 2.0 ** (-level)
-        return h * float(np.sum(fx * w)), len(x)
+        return x, x * _LAMBDA * np.cosh(t)
 
-    return _refine(level_sum, cfg)
+    return _refine(f, nodes, cfg)
 
 
 # --- regularized Binet kernel ------------------------------------------------
@@ -250,23 +255,28 @@ def _bracket_series_over_v(v2: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _binet(v, over_v: bool):
+    """B(v), or B(v)/v, with the series below |v| = 1/2; scalar in, scalar out."""
+    v = np.asarray(v, dtype=float)
+    scalar = v.ndim == 0
+    v = np.atleast_1d(v)
+    small = np.abs(v) < _BRACKET_SWITCH
+    vs = np.where(small, v, 1.0)
+    series = _bracket_series_over_v(vs * vs)
+    with np.errstate(over="ignore", divide="ignore"):
+        vr = np.where(small, 1.0, v)
+        raw = 1.0 / np.expm1(vr) - 1.0 / vr + 0.5
+        out = np.where(small, series, raw / vr) if over_v else np.where(small, vs * series, raw)
+    return float(out[0]) if scalar else out
+
+
 def binet_bracket(v):
     """B(v) = 1/(e^v - 1) - 1/v + 1/2, series-evaluated for |v| < 1/2.
 
     Vectorized; scalar in, scalar out.  Absolute error <= ~2e-16 everywhere
     on (0, inf) including the cancellation-prone origin.
     """
-    v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
-    small = np.abs(v) < _BRACKET_SWITCH
-    vs = np.where(small, v, 1.0)
-    series = vs * _bracket_series_over_v(vs * vs)
-    with np.errstate(over="ignore", divide="ignore"):
-        vr = np.where(small, 1.0, v)
-        raw = 1.0 / np.expm1(vr) - 1.0 / vr + 0.5
-    out = np.where(small, series, raw)
-    return float(out[0]) if scalar else out
+    return _binet(v, over_v=False)
 
 
 def binet_bracket_over_v(v):
@@ -276,17 +286,7 @@ def binet_bracket_over_v(v):
     zeta-derivative integrals, where dividing the raw bracket by a subnormal
     v would overflow.
     """
-    v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
-    small = np.abs(v) < _BRACKET_SWITCH
-    vs = np.where(small, v, 1.0)
-    series = _bracket_series_over_v(vs * vs)
-    with np.errstate(over="ignore", divide="ignore"):
-        vr = np.where(small, 1.0, v)
-        raw = (1.0 / np.expm1(vr) - 1.0 / vr + 0.5) / vr
-    out = np.where(small, series, raw)
-    return float(out[0]) if scalar else out
+    return _binet(v, over_v=True)
 
 
 # --- oscillatory identity residuals -----------------------------------------

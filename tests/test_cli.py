@@ -158,13 +158,28 @@ def test_table_i_n_shows_negative_odd_orders(capsys):
     assert i5 < 0.0
 
 
-def test_table_json(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, rc, n_rows",
+    [
+        (["table", "gamma_n", "--max-n", "2"], EX_OK, 3),
+        (["table", "In", "--max-n", "12", "--max-level", "2"], EX_NUMERICAL, 13),
+    ],
+    ids=["converged", "starved"],
+)
+def test_table_json(argv, rc, n_rows, tmp_path, capsys):
+    """JSON rows carry their flags, so a reader of an exit-2 table can tell
+    which rows failed."""
     path = tmp_path / "table.json"
-    assert main(["table", "gamma_n", "--max-n", "2", "--json", str(path)]) == EX_OK
+    assert main(argv + ["--json", str(path)]) == rc
     capsys.readouterr()
     payload = json.loads(path.read_text())
-    assert payload["kind"] == "gamma_n"
-    assert len(payload["rows"]) == 3
+    assert payload["kind"] == argv[1]
+    assert len(payload["rows"]) == n_rows
+    flagged = [row for row in payload["rows"] if row["flags"]]
+    if rc == EX_OK:
+        assert not flagged
+    else:
+        assert any("no_convergence" in row["flags"] for row in flagged)
 
 
 # ---------------------------------------------------------------------------

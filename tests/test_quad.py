@@ -169,10 +169,51 @@ def test_config_validation():
         QuadConfig(max_level=1)
     with pytest.raises(ValueError):
         QuadConfig(max_level=21)
-    with pytest.raises(ValueError):
-        QuadConfig(truncation_guard=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(truncation_guard=1.5)
+
+
+# ---------------------------------------------------------------------------
+# stacked integrands
+
+
+@pytest.mark.parametrize(
+    "rows, integrate, row_converged, stop_levels",
+    [
+        (
+            [lambda v, p=p: np.exp(-v) * np.log(v) ** p for p in range(6)],
+            integrate_semiaxis,
+            [True] * 6,
+            1,
+        ),
+        (
+            [lambda v: v, np.exp],
+            lambda f: integrate_finite(
+                f, 0.0, 1.0, QuadConfig(target_tol=1e-15, max_level=3)
+            ),
+            [False, False],
+            1,
+        ),
+        (
+            [lambda v: 1.0 / np.sqrt(v), np.exp, lambda v: np.sin(40.0 * v)],
+            lambda f: integrate_finite(f, 0.0, 1.0),
+            [True] * 3,
+            3,
+        ),
+    ],
+    ids=["semiaxis_log_moments", "finite_starved", "finite_staggered"],
+)
+def test_stacked_rows_match_scalar_calls(rows, integrate, row_converged, stop_levels):
+    """A (k, len(x)) integrand is one pass whose rows equal k separate
+    calls bit for bit; the pass converges only if every row does and costs
+    as many evaluations as the slowest row.  ``stop_levels`` counts the
+    distinct levels at which the scalar calls stop."""
+    stacked = integrate(lambda v: np.array([f(v) for f in rows]))
+    scalar = [integrate(f) for f in rows]
+    assert [r.converged for r in scalar] == row_converged
+    assert len({r.evaluations for r in scalar}) == stop_levels
+    assert stacked.value == tuple(r.value for r in scalar)
+    assert stacked.error_estimate == tuple(r.error_estimate for r in scalar)
+    assert stacked.converged == all(row_converged)
+    assert stacked.evaluations == max(r.evaluations for r in scalar)
 
 
 # ---------------------------------------------------------------------------
