@@ -19,7 +19,7 @@ from stieltjes import (
 
 # %% The five routes at u = 1, orders 0..2
 #
-#  hasse   binomial double series, split into an extended-precision head and
+#  hasse   binomial double series, split into an exact fixed-point head and
 #          an exact integral tail
 #  coffey  oscillatory Laplace integral with the e^{2 pi x} - 1 kernel
 #  bell    log-power moments against the Binet kernel, assembled with the

@@ -165,7 +165,7 @@ def _cmd_gamma(args) -> int:
         raise ValueError(f"method {args.method!r} is defined at u = 1 only")
     selected: List[str]
     if args.method == "all":
-        selected = ["hasse", "coffey", "bell"]
+        selected = ["hasse", "coffey", "bell"] if n <= 12 else ["coffey"]
         if u == 1.0 and n <= 10:
             selected.append("brede")
         if u == 1.0 and n <= 8:

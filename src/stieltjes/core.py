@@ -170,6 +170,13 @@ def _assemble_flags(max_intermediate: float, value: float, converged: bool) -> T
     return tuple(flags)
 
 
+def _check_route_order(route: str, n) -> None:
+    """Reject n beyond the c_k table before GammaRequest can warn about it:
+    the Hasse and Bell-family routes have no value to give there."""
+    if isinstance(n, (int, np.integer)) and n > _TESTED_MAX_ORDER:
+        raise ValueError(f"{route} is defined for n <= {_TESTED_MAX_ORDER}, got n = {n}")
+
+
 def _log_power_prefactor(n: int, u: float) -> float:
     """log^n(u)/(2u) - log^{n+1}(u)/(n+1), the boundary terms shared by the
     Coffey and Bell-family representations (log^0 = 1, so n = 0 gives
@@ -229,24 +236,36 @@ def _hasse_head(n: int, u: float, j_max: int) -> Tuple[float, float]:
     largest |partial term|/(n+1) seen (for the cancellation diagnostic).
 
     The inner alternating binomial sums are iterated forward differences of
-    the sequence log^{n+1}(u+k), evaluated in extended precision: each
-    difference order loses ~0.30 decimal digits, so the working precision
-    grows linearly with j_max and the returned binary64 head is exact to
-    roundoff.
+    the sequence log^{n+1}(u+k).  The table is computed in mpmath and rounded
+    once to fixed point with ``prec`` fractional bits; the differences and
+    the sum over j (over the common denominator lcm(1..J+1)) are then exact
+    integer arithmetic, and one correctly rounded int/int division gives the
+    binary64 head.  That table rounding is the only error: at most half a
+    fixed-point ulp per entry, which the j-th difference amplifies by at most
+    2^j.  Each difference order thus costs ~0.30 decimal digits, so the
+    working precision grows linearly with j_max.  This fixed-point head is
+    bit-identical to the same differences done in mpf at this precision, and
+    so is every gamma_hasse value built on it; a different dps could move
+    the last bit of a head that sits near a binary64 rounding boundary.
     """
     dps = int(0.302 * j_max) + 25
     with mp.workdps(dps):
+        prec = mp.mp.prec
         um = mp.mpf(u)
-        table = [mp.log(um + k) ** (n + 1) for k in range(j_max + 1)]
-        head = mp.mpf(0)
-        max_term = 0.0
-        for j in range(j_max + 1):
-            term = table[0] / (j + 1)
-            head += term
-            max_term = max(max_term, abs(float(term)) / (n + 1))
-            for k in range(j_max - j):
-                table[k] = -(table[k + 1] - table[k])
-        return float(head), max_term
+        table = [
+            mp.libmp.to_fixed((mp.log(um + k) ** (n + 1))._mpf_, prec)
+            for k in range(j_max + 1)
+        ]
+    lcm = math.lcm(*range(1, j_max + 2))
+    total = 0
+    max_term = 0.0
+    for j in range(j_max + 1):
+        d = table[0]
+        total += d * (lcm // (j + 1))
+        max_term = max(max_term, abs(d / ((j + 1) << prec)) / (n + 1))
+        for k in range(j_max - j):
+            table[k] -= table[k + 1]
+    return total / (lcm << prec), max_term
 
 
 def _log_moments(kernel, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
@@ -294,8 +313,8 @@ def gamma_hasse(
 
     The outer terms decay only like ~1/(j^{u+1} log j), far too slowly to
     truncate at any affordable j, so the series is split exactly: terms
-    j <= j_max are summed as written (iterated forward differences in
-    extended precision), and the infinite remainder is resummed in closed
+    j <= j_max are summed as written (iterated forward differences in exact
+    fixed-point integers), and the infinite remainder is resummed in closed
     form through its integral representation
 
         sum_{j>J} (...)  =  -(-1)^{n+1} sum_{m=0}^{n} C(n,m) c_m
@@ -306,6 +325,7 @@ def gamma_hasse(
     result is therefore independent of ``j_max`` to roundoff; ``j_max``
     only moves work between the series head and the tail integrals.
     """
+    _check_route_order("gamma_hasse", n)
     req = GammaRequest(n, float(u))
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
@@ -435,6 +455,7 @@ def gamma_bell_family(
     derivative coefficients convolve against Gamma-derivatives to zero for
     n >= 1 (the negation identity of the Bell polynomials).
     """
+    _check_route_order("gamma_bell_family", n)
     req = GammaRequest(n, float(u))
     u = req.u
     if kernel not in ("half", "bare"):

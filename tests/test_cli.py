@@ -7,6 +7,7 @@ directly, so the tests also pin output determinism and the JSON schemas.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -42,6 +43,25 @@ def test_gamma_away_from_unit_argument_drops_unit_only_methods(capsys):
     assert main(["gamma", "-n", "0", "-u", "2"]) == EX_OK
     out = capsys.readouterr().out
     assert "brede" not in out and "limit" not in out
+
+
+def test_gamma_beyond_table_runs_only_coffey(capsys):
+    """At n = 13 the default method set keeps only the routes defined there;
+    Coffey still answers (with its reduced-precision warning)."""
+    with pytest.warns(RuntimeWarning, match="beyond the tested envelope"):
+        assert main(["gamma", "-n", "13"]) == EX_OK
+    out = capsys.readouterr().out
+    rows = out.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("coffey")
+
+
+def test_gamma_hasse_beyond_table_is_usage_error_without_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["gamma", "-n", "13", "--method", "hasse"]) == EX_USAGE
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "n <= 12" in err and "RuntimeWarning" not in err
 
 
 def test_gamma_json_schema(tmp_path, capsys):

@@ -10,6 +10,7 @@ Barnes-function evaluators and the inversion/moment identities follow.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -40,6 +41,7 @@ from stieltjes import (
     zeta_prime0,
     zeta_second0,
 )
+from stieltjes.core import _hasse_head
 
 import refs
 
@@ -66,6 +68,16 @@ def test_large_order_warns():
         GammaRequest(12, 1.0)  # inside the tested envelope: silent
 
 
+@pytest.mark.parametrize("route", [gamma_hasse, gamma_bell_family])
+def test_table_routes_reject_large_order_without_warning(route):
+    """Hasse and Bell-family need c_k for k <= n, tabulated to n = 12: they
+    refuse n = 13 outright instead of warning and then failing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n <= 12"):
+            route(13, 1.0)
+
+
 def test_method_result_converged_property():
     ok = MethodResult(1.0, 1e-15, Method.HASSE, 10)
     bad = MethodResult(1.0, 1e-2, Method.HASSE, 10, flags=(FLAG_NO_CONVERGENCE,))
@@ -90,12 +102,38 @@ def test_hasse_full_grid(n, u):
     assert abs(r.value - ref) < _scaled(ref, 5e-12)
 
 
-def test_hasse_series_depth_independence():
+@pytest.mark.parametrize("n,u", [(2, 0.75), (12, 0.1), (12, 0.75), (12, 10.0)])
+def test_hasse_series_depth_independence(n, u):
     """The head-plus-tail split is exact: the result must not move with the
     truncation depth beyond roundoff."""
-    a = gamma_hasse(2, 0.75, j_max=90).value
-    b = gamma_hasse(2, 0.75, j_max=150).value
-    assert abs(a - b) < 1e-12
+    a = gamma_hasse(n, u, j_max=90).value
+    b = gamma_hasse(n, u, j_max=150).value
+    assert abs(a - b) < _scaled(a, 1e-12)
+
+
+def _hasse_head_mpf(n, u, j_max):
+    """Reference head: the forward differences and the 1/(j+1) sum in mpf
+    arithmetic at the working precision, rounded to binary64 at the end."""
+    with mp.workdps(int(0.302 * j_max) + 25):
+        um = mp.mpf(u)
+        table = [mp.log(um + k) ** (n + 1) for k in range(j_max + 1)]
+        head = mp.mpf(0)
+        max_term = 0.0
+        for j in range(j_max + 1):
+            term = table[0] / (j + 1)
+            head += term
+            max_term = max(max_term, abs(float(term)) / (n + 1))
+            for k in range(j_max - j):
+                table[k] = -(table[k + 1] - table[k])
+        return float(head), max_term
+
+
+@pytest.mark.parametrize("j_max", [0, 1, 20, 120, 150])
+def test_hasse_head_matches_mpf_differences(j_max):
+    """The fixed-point head is bit-identical to the all-mpf difference loop."""
+    for n in range(13):
+        for u in (1e-3, 0.1, 0.37, 1.0, 3.3, 10.0, 100.0):
+            assert _hasse_head(n, u, j_max) == _hasse_head_mpf(n, u, j_max), (n, u)
 
 
 def test_gamma_value_is_cached_float():

@@ -130,14 +130,18 @@ def test_hurwitz_series_domain():
 # dependencies
 
 
-def test_import_does_not_load_scipy():
-    """The special values come from math and mpmath; scipy is never imported."""
+def test_import_loads_no_package_beyond_numpy_and_mpmath():
+    """``import stieltjes`` brings in the standard library, numpy and mpmath
+    only (scipy in particular is never imported).  Modules a bare interpreter
+    already holds, such as those ``site`` loads, are not counted."""
     src = str(Path(stieltjes.__file__).resolve().parent.parent)
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import stieltjes; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import stieltjes; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "['mpmath', 'numpy', 'stieltjes']"
