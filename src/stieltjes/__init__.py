@@ -15,140 +15,16 @@ identity both ways.
 
 __version__ = "1.0.0"
 
-from .bellpoly import (
-    MAX_ORDER,
-    BellPolynomial,
-    bell_number,
-    complete_bell,
-    eval_bell,
-    gamma_derivative_at_one,
-    inv_gamma_derivative_at_zero,
-    partitions,
-)
-from .core import (
-    FLAG_CANCELLATION,
-    FLAG_NO_CONVERGENCE,
-    GammaRequest,
-    Method,
-    MethodResult,
-    RealPolynomial,
-    a_coefficient,
-    barnes_g_log,
-    bell_family_coefficients,
-    brede_poly,
-    delta_n,
-    gamma1_hermite,
-    gamma_bell_family,
-    gamma_brede,
-    gamma_coffey,
-    gamma_hasse,
-    gamma_limit,
-    gamma_value,
-    hurwitz_hermite,
-    hurwitz_laplace,
-    i_n_integral,
-    inversion_sum,
-    zeta_prime0,
-    zeta_second0,
-)
-from .alteta import (
-    AltZetaRequest,
-    alt_deriv_at_1,
-    alt_zeta,
-    alt_zeta_hasse,
-    euler_constant_59,
-    gamma1_via_alt,
-    gamma_half_closed,
-    half_shift_check,
-    stieltjes_sum_over_fractions,
-)
-from .quad import (
-    IntegrandError,
-    QuadConfig,
-    QuadResult,
-    atan_laplace_check,
-    binet_bracket,
-    binet_bracket_over_v,
-    integrate_finite,
-    integrate_semiaxis,
-    legendre_relation_check,
-)
-from .specfun import (
-    ConstantTable,
-    constant_table,
-    digamma,
-    hurwitz_zeta_series,
-    log_gamma,
-    polygamma,
-)
-from .validate import CheckRecord, SUITE_NAMES, ValidationReport, run_suite
+from . import bellpoly, core, alteta, quad, specfun, validate
+from .bellpoly import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .alteta import *  # noqa: F401,F403
+from .quad import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
+from .validate import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # bellpoly
-    "MAX_ORDER",
-    "BellPolynomial",
-    "bell_number",
-    "complete_bell",
-    "eval_bell",
-    "gamma_derivative_at_one",
-    "inv_gamma_derivative_at_zero",
-    "partitions",
-    # core
-    "FLAG_CANCELLATION",
-    "FLAG_NO_CONVERGENCE",
-    "GammaRequest",
-    "Method",
-    "MethodResult",
-    "RealPolynomial",
-    "a_coefficient",
-    "barnes_g_log",
-    "bell_family_coefficients",
-    "brede_poly",
-    "delta_n",
-    "gamma1_hermite",
-    "gamma_bell_family",
-    "gamma_brede",
-    "gamma_coffey",
-    "gamma_hasse",
-    "gamma_limit",
-    "gamma_value",
-    "hurwitz_hermite",
-    "hurwitz_laplace",
-    "i_n_integral",
-    "inversion_sum",
-    "zeta_prime0",
-    "zeta_second0",
-    # alteta
-    "AltZetaRequest",
-    "alt_deriv_at_1",
-    "alt_zeta",
-    "alt_zeta_hasse",
-    "euler_constant_59",
-    "gamma1_via_alt",
-    "gamma_half_closed",
-    "half_shift_check",
-    "stieltjes_sum_over_fractions",
-    # quad
-    "IntegrandError",
-    "QuadConfig",
-    "QuadResult",
-    "atan_laplace_check",
-    "binet_bracket",
-    "binet_bracket_over_v",
-    "integrate_finite",
-    "integrate_semiaxis",
-    "legendre_relation_check",
-    # specfun
-    "ConstantTable",
-    "constant_table",
-    "digamma",
-    "hurwitz_zeta_series",
-    "log_gamma",
-    "polygamma",
-    # validate
-    "CheckRecord",
-    "SUITE_NAMES",
-    "ValidationReport",
-    "run_suite",
+__all__ = ["__version__"] + [
+    name
+    for module in (bellpoly, core, alteta, quad, specfun, validate)
+    for name in module.__all__
 ]

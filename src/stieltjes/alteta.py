@@ -195,12 +195,18 @@ def gamma_half_closed(p: int) -> float:
     """
     if not (isinstance(p, (int, np.integer)) and 0 <= p <= _MAX_DERIV):
         raise ValueError(f"p must be in [0, {_MAX_DERIV}], got {p!r}")
-    value = -gamma_value(p, 1.0) + 2.0 * (-1.0) ** p * _LOG2 ** (p + 1) / (p + 1)
-    value += 2.0 * math.fsum(
-        comb(p, j) * (-1.0) ** j * gamma_value(p - j, 1.0) * _LOG2**j
+    return _rational_closed(p, 2)
+
+
+def _rational_closed(p: int, q: int) -> float:
+    """-gamma_p + q (-1)^p log^{p+1}(q)/(p+1) + q sum_j C(p,j)(-1)^j gamma_{p-j} log^j(q)."""
+    lq = math.log(q)
+    closed = -gamma_value(p, 1.0) + q * (-1.0) ** p * lq ** (p + 1) / (p + 1)
+    closed += q * math.fsum(
+        comb(p, j) * (-1.0) ** j * gamma_value(p - j, 1.0) * lq**j
         for j in range(p + 1)
     )
-    return value
+    return closed
 
 
 def stieltjes_sum_over_fractions(p: int, q: int) -> Tuple[float, float]:
@@ -219,12 +225,7 @@ def stieltjes_sum_over_fractions(p: int, q: int) -> Tuple[float, float]:
         raise ValueError(f"p must be in [0, 4], got {p!r}")
     if not (isinstance(q, (int, np.integer)) and 2 <= q <= 6):
         raise ValueError(f"q must be in [2, 6], got {q!r}")
-    lq = math.log(q)
-    closed = -gamma_value(p, 1.0) + q * (-1.0) ** p * lq ** (p + 1) / (p + 1)
-    closed += q * math.fsum(
-        comb(p, j) * (-1.0) ** j * gamma_value(p - j, 1.0) * lq**j
-        for j in range(p + 1)
-    )
+    closed = _rational_closed(p, q)
     direct = math.fsum(gamma_value(p, r / q) for r in range(1, q))
     return closed, direct
 

@@ -172,18 +172,14 @@ def _cmd_gamma(args) -> int:
             selected.append("limit")
     else:
         selected = [args.method]
-    results = {}
-    for method in selected:
-        if method == "hasse":
-            results[method] = gamma_hasse(n, u, cfg=cfg)
-        elif method == "coffey":
-            results[method] = gamma_coffey(n, u, cfg)
-        elif method == "bell":
-            results[method] = gamma_bell_family(n, u, cfg=cfg)
-        elif method == "brede":
-            results[method] = gamma_brede(n, cfg)
-        elif method == "limit":
-            results[method] = gamma_limit(n, args.limit_terms)
+    routes = {
+        "hasse": lambda: gamma_hasse(n, u, cfg=cfg),
+        "coffey": lambda: gamma_coffey(n, u, cfg),
+        "bell": lambda: gamma_bell_family(n, u, cfg=cfg),
+        "brede": lambda: gamma_brede(n, cfg),
+        "limit": lambda: gamma_limit(n, args.limit_terms),
+    }
+    results = {method: routes[method]() for method in selected}
     print(f"gamma_{n}(u={u:.15g})")
     for method in selected:
         print(_format_result(method, results[method]))

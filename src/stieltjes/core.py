@@ -50,6 +50,8 @@ from .quad import (
 from .specfun import constant_table, log_gamma
 
 __all__ = [
+    "FLAG_CANCELLATION",
+    "FLAG_NO_CONVERGENCE",
     "Method",
     "MethodResult",
     "GammaRequest",
@@ -392,6 +394,10 @@ def gamma1_hermite(u: float, cfg: Optional[QuadConfig] = None) -> MethodResult:
         gamma_1(u) = log(u)/(2u) - log^2(u)/2
                      + int_0^inf x log(u^2 + x^2) / [(u^2+x^2)(e^{2 pi x}-1)] dx
                      - 2u int_0^inf atan(x/u) / [(u^2+x^2)(e^{2 pi x}-1)] dx.
+
+    This is Coffey's integrand at n = 1 split into two real integrals, since
+    -2 Im[(u - ix) log(u + ix)] = x log(u^2 + x^2) - 2u atan(x/u); agreement
+    with :func:`gamma_coffey` is not an independent vote.
     """
     req = GammaRequest(1, float(u))
     u = req.u
@@ -508,6 +514,13 @@ def gamma_brede(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
     sampling log log(1/t) near t = 1 (where it diverges) and conditions the
     integrand dramatically better; the value is identical by change of
     variables.
+
+    Since p_n(-log v) = (-1)^n sum_k C(n,k) c_k log^{n-k}(v), this is the
+    u = 1 Bell-family integral with the c_k sum moved inside the integrand
+    (the extra 1/2 of the kernel integrates to delta_{n0}/2, the Bell
+    route's own constant; the derivation is in ROADMAP item 4).  Agreement
+    with :func:`gamma_bell_family` checks the order of summation; it is not
+    an independent vote.
     """
     if not 0 <= n <= 10:
         raise ValueError("n must be in [0, 10]")

@@ -7,11 +7,17 @@ override rewrites the ladder without touching the recorded differences.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from stieltjes import CheckRecord, ValidationReport, run_suite
 from stieltjes.validate import SUITE_NAMES
+
+# The benchmark runs ``validate --suite all`` and fails any run whose ids differ
+# from this list, so an id change is a deliberate change to this file too.
+CHECK_IDS = Path(__file__).resolve().parents[1] / "benchmarks" / "validate_check_ids.json"
 
 
 @pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "all"])
@@ -51,9 +57,10 @@ def test_report_serialization_schema():
     }
 
 
-def test_report_is_deterministic_apart_from_timestamp():
-    a = run_suite("quad").as_dict()
-    b = run_suite("quad").as_dict()
+@pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "all"])
+def test_report_is_deterministic_apart_from_timestamp(suite):
+    a = run_suite(suite).as_dict()
+    b = run_suite(suite).as_dict()
     a.pop("timestamp")
     b.pop("timestamp")
     assert a == b
@@ -72,6 +79,11 @@ def test_check_record_is_frozen():
     assert isinstance(record, CheckRecord)
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.passed = False
+
+
+def test_check_ids_and_order_are_pinned():
+    ids = [c.check_id for c in run_suite("all").checks]
+    assert ids == json.loads(CHECK_IDS.read_text())
 
 
 def test_check_ids_are_unique():
