@@ -30,10 +30,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Tuple
 
-import numpy as np
-
 from .core import gamma_value, hurwitz_hermite
-from .specfun import digamma
+from .specfun import _require_finite, _require_order, _require_positive, digamma
 
 __all__ = [
     "AltZetaRequest",
@@ -60,12 +58,9 @@ class AltZetaRequest:
     n: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and self.x > 0.0):
-            raise ValueError(f"x must be positive and finite, got {self.x!r}")
-        if not (isinstance(self.n, (int, np.integer)) and 0 <= self.n <= _MAX_DERIV):
-            raise ValueError(f"derivative order must be in [0, {_MAX_DERIV}], got {self.n!r}")
-        if not math.isfinite(self.s):
-            raise ValueError(f"s must be finite, got {self.s!r}")
+        object.__setattr__(self, "s", _require_finite(self.s, "s"))
+        object.__setattr__(self, "x", _require_positive(self.x, "x"))
+        object.__setattr__(self, "n", _require_order(self.n, "derivative order", 0, _MAX_DERIV))
 
 
 def alt_zeta(s: float, x: float) -> float:
@@ -78,7 +73,7 @@ def alt_zeta(s: float, x: float) -> float:
     cancel and the limit (1/2)[psi((1+x)/2) - psi(x/2)] is returned
     (log 2 at x = 1).
     """
-    req = AltZetaRequest(float(s), float(x))
+    req = AltZetaRequest(s, x)
     s, x = req.s, req.x
     if s == 1.0:
         return 0.5 * (digamma((1.0 + x) / 2.0) - digamma(x / 2.0))
@@ -105,10 +100,10 @@ def alt_zeta_hasse(
     needed.  Truncates once the damped term magnitude stays below ``tol``
     (two consecutive terms, after a warm-up of ten), or at ``i_max``.
     """
-    req = AltZetaRequest(float(s), float(x), int(n))
+    req = AltZetaRequest(s, x, n)
     s, x, n = req.s, req.x, req.n
-    if i_max < 0:
-        raise ValueError("i_max must be nonnegative")
+    tol = _require_positive(tol, "tol")
+    i_max = _require_order(i_max, "i_max")
     table = [math.log(x + j) ** n / (x + j) ** s for j in range(i_max + 1)]
     total = 0.0
     weight = 0.5
@@ -145,10 +140,8 @@ def alt_deriv_at_1(n: int, x: float = 1.0) -> Tuple[float, float]:
     negated derivative -eta'(1) = log^2(2)/2 - gamma log 2 of the
     alternating zeta function.
     """
-    req = AltZetaRequest(1.0, float(x), int(n))
-    if req.n > 4:
-        raise ValueError("n must be at most 4 for the Stieltjes form")
-    x, n = req.x, req.n
+    n = _require_order(n, "n", 0, 4)
+    x = _require_positive(x, "x")
     stieltjes_form = 0.5 * math.fsum(
         comb(n, k)
         * _LOG2 ** (n - k)
@@ -193,9 +186,7 @@ def gamma_half_closed(p: int) -> float:
     p = 0 gives gamma + 2 log 2 = -psi(1/2), and p = 1 gives
     gamma_1 - log^2(2) - 2 gamma log 2.
     """
-    if not (isinstance(p, (int, np.integer)) and 0 <= p <= _MAX_DERIV):
-        raise ValueError(f"p must be in [0, {_MAX_DERIV}], got {p!r}")
-    return _rational_closed(p, 2)
+    return _rational_closed(_require_order(p, "p", 0, _MAX_DERIV), 2)
 
 
 def _rational_closed(p: int, q: int) -> float:
@@ -221,10 +212,8 @@ def stieltjes_sum_over_fractions(p: int, q: int) -> Tuple[float, float]:
     sum_r zeta(s, r/q) = q^s zeta(s) about s = 1; q = 2 reduces to the
     gamma_p(1/2) closed form.
     """
-    if not (isinstance(p, (int, np.integer)) and 0 <= p <= 4):
-        raise ValueError(f"p must be in [0, 4], got {p!r}")
-    if not (isinstance(q, (int, np.integer)) and 2 <= q <= 6):
-        raise ValueError(f"q must be in [2, 6], got {q!r}")
+    p = _require_order(p, "p", 0, 4)
+    q = _require_order(q, "q", 2, 6)
     closed = _rational_closed(p, q)
     direct = math.fsum(gamma_value(p, r / q) for r in range(1, q))
     return closed, direct
@@ -237,7 +226,6 @@ def half_shift_check(k: int) -> float:
     x = 1/2 (from zeta(s, x+1) = zeta(s, x) - x^{-s}); k = 0 reduces to
     psi(3/2) - psi(1/2) = 2.
     """
-    if not (isinstance(k, (int, np.integer)) and 0 <= k <= 5):
-        raise ValueError(f"k must be in [0, 5], got {k!r}")
+    k = _require_order(k, "k", 0, 5)
     shift = (-1.0) ** (k + 1) * 2.0 * _LOG2**k
     return abs(gamma_value(k, 1.5) - gamma_value(k, 0.5) - shift)

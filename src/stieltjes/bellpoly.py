@@ -38,6 +38,8 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import mpmath as mp
 
+from .specfun import _require_order
+
 __all__ = [
     "MAX_ORDER",
     "BellPolynomial",
@@ -52,6 +54,7 @@ __all__ = [
 # Symbolic expansion grows with the partition count p(n); the recurrence has
 # no such limit but derivative values beyond this order add no tested value.
 MAX_ORDER = 20
+# The derivative tables, and so the routes' c_k, stop here (precision, not structure).
 _MAX_DERIVATIVE = 12
 
 
@@ -62,8 +65,7 @@ def partitions(n: int) -> Iterator[Tuple[int, ...]]:
     weight condition sum_j j*k_j = n.  Enumeration is by nonincreasing part
     lists, giving a deterministic order; n = 0 yields the single empty tuple.
     """
-    if n < 0:
-        raise ValueError("partition order must be nonnegative")
+    n = _require_order(n, "partition order")
 
     def parts(remaining: int, max_part: int) -> Iterator[list]:
         if remaining == 0:
@@ -128,10 +130,7 @@ def complete_bell(n: int) -> BellPolynomial:
     Raises ``ValueError`` above order :data:`MAX_ORDER` (capacity, not a
     mathematical limit).
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the configured maximum {MAX_ORDER}")
+    n = _require_order(n, "order", 0, MAX_ORDER)
     terms = {}
     n_fact = math.factorial(n)
     for mult in partitions(n):
@@ -153,8 +152,7 @@ def eval_bell(n: int, xs: Sequence):
     arithmetic type of ``xs``.  ``xs`` must have at least ``n`` entries
     (entry p, 0-based, is x_{p+1}).
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _require_order(n, "order")
     if len(xs) < n:
         raise ValueError(f"Y_{n} needs at least {n} arguments, got {len(xs)}")
     values = [1]  # Y_0
@@ -168,6 +166,7 @@ def eval_bell(n: int, xs: Sequence):
 
 def bell_number(n: int) -> int:
     """The n-th Bell number B_n = Y_n(1, 1, ..., 1)."""
+    n = _require_order(n, "order")
     return eval_bell(n, [1] * n)
 
 
@@ -190,9 +189,7 @@ def gamma_derivative_at_one(m: int) -> float:
     First values: -gamma; zeta(2) + gamma^2; -[2 zeta(3) + 3 gamma zeta(2)
     + gamma^3].  Capacity-limited to m <= 12 (precision, not structure).
     """
-    if not 0 <= m <= _MAX_DERIVATIVE:
-        raise ValueError(f"derivative order must be in [0, {_MAX_DERIVATIVE}]")
-    return _derivative_tables()[0][m]
+    return _derivative_tables()[0][_require_order(m, "derivative order", 0, _MAX_DERIVATIVE)]
 
 
 def inv_gamma_derivative_at_zero(k: int) -> float:
@@ -202,6 +199,4 @@ def inv_gamma_derivative_at_zero(k: int) -> float:
     are gamma, -zeta(2), 2 zeta(3), -6 zeta(4), ...  First values: 1; gamma;
     gamma^2 - zeta(2).
     """
-    if not 0 <= k <= _MAX_DERIVATIVE:
-        raise ValueError(f"derivative order must be in [0, {_MAX_DERIVATIVE}]")
-    return _derivative_tables()[1][k]
+    return _derivative_tables()[1][_require_order(k, "derivative order", 0, _MAX_DERIVATIVE)]

@@ -26,8 +26,11 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .bellpoly import gamma_derivative_at_one
+from .bellpoly import _MAX_DERIVATIVE, gamma_derivative_at_one
 from .core import (
+    ENVELOPES,
+    GammaRequest,
+    Method,
     MethodResult,
     brede_poly,
     gamma_bell_family,
@@ -38,6 +41,7 @@ from .core import (
     i_n_integral,
 )
 from .quad import IntegrandError, QuadConfig
+from .specfun import _require_order, _require_positive
 from .validate import SUITE_NAMES, run_suite
 
 __all__ = ["main", "entry"]
@@ -48,7 +52,7 @@ EX_USAGE = 64
 EX_IO = 74
 
 _ENV_TOL = "STIELTJES_TOL"
-_GAMMA_METHODS = ("hasse", "coffey", "bell", "brede", "limit", "all")
+_GAMMA_METHODS = tuple(method.value for method in ENVELOPES) + ("all",)
 _TABLE_KINDS = ("gamma_n", "brede_coeffs", "gamma_derivs", "In")
 
 
@@ -120,9 +124,7 @@ def _build_parser() -> _Parser:
 
 def _resolve_tol(args) -> Optional[float]:
     if args.tol is not None:
-        if not args.tol > 0.0:
-            raise ValueError(f"--tol must be positive, got {args.tol!r}")
-        return args.tol
+        return _require_positive(args.tol, "--tol")
     raw = os.environ.get(_ENV_TOL)
     if raw is None:
         return None
@@ -130,9 +132,7 @@ def _resolve_tol(args) -> Optional[float]:
         tol = float(raw)
     except ValueError as exc:
         raise ValueError(f"${_ENV_TOL} is not a float: {raw!r}") from exc
-    if not tol > 0.0:
-        raise ValueError(f"${_ENV_TOL} must be positive, got {raw!r}")
-    return tol
+    return _require_positive(tol, f"${_ENV_TOL}")
 
 
 def _resolve_cfg(args, tol: Optional[float]) -> Optional[QuadConfig]:
@@ -140,8 +140,6 @@ def _resolve_cfg(args, tol: Optional[float]) -> Optional[QuadConfig]:
     if tol is not None:
         kwargs["target_tol"] = max(tol, 1e-15)
     if args.max_level is not None:
-        if args.max_level < 2:
-            raise ValueError(f"--max-level must be at least 2, got {args.max_level}")
         kwargs["max_level"] = args.max_level
     return QuadConfig(**kwargs) if kwargs else None
 
@@ -161,28 +159,23 @@ def _cmd_gamma(args) -> int:
     tol = _resolve_tol(args)
     cfg = _resolve_cfg(args, tol)
     n, u = args.order, args.argument
-    if args.method in ("brede", "limit") and u != 1.0:
-        raise ValueError(f"method {args.method!r} is defined at u = 1 only")
-    selected: List[str]
     if args.method == "all":
-        selected = ["hasse", "coffey", "bell"] if n <= 12 else ["coffey"]
-        if u == 1.0 and n <= 10:
-            selected.append("brede")
-        if u == 1.0 and n <= 8:
-            selected.append("limit")
+        selected = [m for m, envelope in ENVELOPES.items() if envelope.admits(n, u)]
     else:
-        selected = [args.method]
-    routes = {
-        "hasse": lambda: gamma_hasse(n, u, cfg=cfg),
-        "coffey": lambda: gamma_coffey(n, u, cfg),
-        "bell": lambda: gamma_bell_family(n, u, cfg=cfg),
-        "brede": lambda: gamma_brede(n, cfg),
-        "limit": lambda: gamma_limit(n, args.limit_terms),
-    }
-    results = {method: routes[method]() for method in selected}
-    print(f"gamma_{n}(u={u:.15g})")
+        selected = [Method(args.method)]
     for method in selected:
-        print(_format_result(method, results[method]))
+        GammaRequest(n, u, method)
+    routes = {
+        Method.HASSE: lambda: gamma_hasse(n, u, cfg=cfg),
+        Method.COFFEY: lambda: gamma_coffey(n, u, cfg),
+        Method.BELL_FAMILY: lambda: gamma_bell_family(n, u, cfg=cfg),
+        Method.BREDE: lambda: gamma_brede(n, cfg),
+        Method.LIMIT: lambda: gamma_limit(n, args.limit_terms),
+    }
+    results = {method.value: routes[method]() for method in selected}
+    print(f"gamma_{n}(u={u:.15g})")
+    for method, r in results.items():
+        print(_format_result(method, r))
     spread = None
     if len(results) > 1:
         values = [r.value for r in results.values()]
@@ -233,6 +226,13 @@ def _cmd_validate(args) -> int:
 def _cmd_table(args) -> int:
     tol = _resolve_tol(args)
     cfg = _resolve_cfg(args, tol)
+    # The whole range is checked before the header, so a bad bound prints nothing.
+    if args.kind == "gamma_n":
+        GammaRequest(args.max_n, args.argument, Method.HASSE)
+    elif args.kind == "gamma_derivs":
+        _require_order(args.max_m, "--max-m", 0, _MAX_DERIVATIVE)
+    else:
+        _require_order(args.max_n, "--max-n", 0, _MAX_DERIVATIVE)
     rows = []
     converged = True
 

@@ -28,17 +28,17 @@ error estimate, the evaluation count, and cancellation / convergence flags.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Optional, Tuple
+from types import MappingProxyType
+from typing import NamedTuple, Optional, Tuple
 
 import mpmath as mp
 import numpy as np
 
-from .bellpoly import gamma_derivative_at_one, inv_gamma_derivative_at_zero
+from .bellpoly import _MAX_DERIVATIVE, gamma_derivative_at_one, inv_gamma_derivative_at_zero
 from .quad import (
     QuadConfig,
     QuadResult,
@@ -47,11 +47,12 @@ from .quad import (
     integrate_finite,
     integrate_semiaxis,
 )
-from .specfun import constant_table, log_gamma
+from .specfun import _require_finite, _require_order, _require_positive, constant_table, log_gamma
 
 __all__ = [
     "FLAG_CANCELLATION",
     "FLAG_NO_CONVERGENCE",
+    "ENVELOPES",
     "Method",
     "MethodResult",
     "GammaRequest",
@@ -76,7 +77,6 @@ __all__ = [
     "gamma_value",
 ]
 
-_TESTED_MAX_ORDER = 12
 _CANCELLATION_RATIO = 1e8
 # Beyond this, exp(-2 pi x) has underflowed and the e^{2 pi x}-weighted
 # integrands are identically zero to binary64.
@@ -118,24 +118,47 @@ class MethodResult:
         return FLAG_NO_CONVERGENCE not in self.flags
 
 
+class _Envelope(NamedTuple):
+    """A route's domain: n <= max_n (None: no cap) and that one u (None: any u > 0)."""
+
+    max_n: Optional[int]
+    u: Optional[float]
+
+    def admits(self, n: int, u: float) -> bool:
+        return (self.max_n is None or n <= self.max_n) and (self.u is None or u == self.u)
+
+
+# Each gamma_n(u) route's domain.  Hasse and Bell-family need c_k for k <= n,
+# tabulated to _MAX_DERIVATIVE; Coffey needs none (measured against
+# mp.stieltjes to n = 40 over u in [0.1, 10]); Brede and the limit are u = 1
+# forms with the caps their tests cover.
+ENVELOPES = MappingProxyType({
+    Method.HASSE: _Envelope(_MAX_DERIVATIVE, None),
+    Method.COFFEY: _Envelope(None, None),
+    Method.BELL_FAMILY: _Envelope(_MAX_DERIVATIVE, None),
+    Method.BREDE: _Envelope(10, 1.0),
+    Method.LIMIT: _Envelope(8, 1.0),
+})
+
+
 @dataclass(frozen=True)
 class GammaRequest:
-    """A validated (order n, argument u) pair for the gamma_n(u) ops."""
+    """A validated (order n, argument u) pair for the gamma_n(u) ops; with a
+    ``method``, (n, u) must also lie in that route's entry of ENVELOPES."""
 
     n: int
     u: float
+    method: Optional[Method] = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
-            raise ValueError(f"order n must be a nonnegative integer, got {self.n!r}")
-        if not (math.isfinite(self.u) and self.u > 0.0):
-            raise ValueError(f"argument u must be positive and finite, got {self.u!r}")
-        if self.n > _TESTED_MAX_ORDER:
-            warnings.warn(
-                f"n = {self.n} is beyond the tested envelope n <= {_TESTED_MAX_ORDER}; "
-                "expect reduced precision",
-                RuntimeWarning,
-                stacklevel=3,
+        object.__setattr__(self, "n", _require_order(self.n, "order n"))
+        object.__setattr__(self, "u", _require_positive(self.u, "argument u"))
+        if self.method is not None and not ENVELOPES[self.method].admits(self.n, self.u):
+            max_n, u = ENVELOPES[self.method]
+            at = "" if u is None else f" at u = {u:g}"
+            raise ValueError(
+                f"{Method(self.method).value} is defined for n <= {max_n}{at}, "
+                f"got n = {self.n}, u = {self.u:.15g}"
             )
 
 
@@ -170,13 +193,6 @@ def _assemble_flags(max_intermediate: float, value: float, converged: bool) -> T
     if not converged:
         flags.append(FLAG_NO_CONVERGENCE)
     return tuple(flags)
-
-
-def _check_route_order(route: str, n) -> None:
-    """Reject n beyond the c_k table before GammaRequest can warn about it:
-    the Hasse and Bell-family routes have no value to give there."""
-    if isinstance(n, (int, np.integer)) and n > _TESTED_MAX_ORDER:
-        raise ValueError(f"{route} is defined for n <= {_TESTED_MAX_ORDER}, got n = {n}")
 
 
 def _log_power_prefactor(n: int, u: float) -> float:
@@ -327,10 +343,8 @@ def gamma_hasse(
     result is therefore independent of ``j_max`` to roundoff; ``j_max``
     only moves work between the series head and the tail integrals.
     """
-    _check_route_order("gamma_hasse", n)
-    req = GammaRequest(n, float(u))
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
+    req = GammaRequest(n, u, Method.HASSE)
+    j_max = _require_order(j_max, "j_max")
     head, head_term = _hasse_head(req.n, req.u, j_max)
     tail, tail_estimate, tail_term, r = _moment_convolution(
         _hasse_tail_kernel(j_max), req.n, req.u, cfg
@@ -366,7 +380,7 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
     right half-plane).  The i[z L - conj(z L)] combination of the analytic
     form is folded to -2 Im[z L] so the whole computation is real.
     """
-    req = GammaRequest(n, float(u))
+    req = GammaRequest(n, u, Method.COFFEY)
     u = req.u
     prefactor = _log_power_prefactor(req.n, u)
 
@@ -399,8 +413,7 @@ def gamma1_hermite(u: float, cfg: Optional[QuadConfig] = None) -> MethodResult:
     -2 Im[(u - ix) log(u + ix)] = x log(u^2 + x^2) - 2u atan(x/u); agreement
     with :func:`gamma_coffey` is not an independent vote.
     """
-    req = GammaRequest(1, float(u))
-    u = req.u
+    u = _require_positive(u, "u")
 
     def f_log(xc):
         den = (u * u + xc * xc) * np.expm1(2.0 * math.pi * xc)
@@ -435,8 +448,7 @@ def bell_family_coefficients(k_max: int) -> Tuple[float, ...]:
     -psi(1), -psi'(1), ..., -psi^{(k-1)}(1); first values 1, gamma,
     gamma^2 - zeta(2).  Computed once per process and cached immutably.
     """
-    if not 0 <= k_max <= _TESTED_MAX_ORDER:
-        raise ValueError(f"k_max must be in [0, {_TESTED_MAX_ORDER}]")
+    k_max = _require_order(k_max, "k_max", 0, _MAX_DERIVATIVE)
     return tuple(inv_gamma_derivative_at_zero(k) for k in range(k_max + 1))
 
 
@@ -461,8 +473,7 @@ def gamma_bell_family(
     derivative coefficients convolve against Gamma-derivatives to zero for
     n >= 1 (the negation identity of the Bell polynomials).
     """
-    _check_route_order("gamma_bell_family", n)
-    req = GammaRequest(n, float(u))
+    req = GammaRequest(n, u, Method.BELL_FAMILY)
     u = req.u
     if kernel not in ("half", "bare"):
         raise ValueError(f"kernel must be 'half' or 'bare', got {kernel!r}")
@@ -493,8 +504,7 @@ def brede_poly(n: int) -> RealPolynomial:
     Monic by construction (the k = 0 term is z^n); p_0 = 1, p_1 = z - gamma,
     p_2 = z^2 - 2 gamma z + gamma^2 - zeta(2).  Satisfies p_n' = n p_{n-1}.
     """
-    if not 0 <= n <= _TESTED_MAX_ORDER:
-        raise ValueError(f"n must be in [0, {_TESTED_MAX_ORDER}]")
+    n = _require_order(n, "n", 0, _MAX_DERIVATIVE)
     cs = bell_family_coefficients(n)
     coefficients = [0.0] * (n + 1)
     for k in range(n + 1):
@@ -522,9 +532,7 @@ def gamma_brede(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
     with :func:`gamma_bell_family` checks the order of summation; it is not
     an independent vote.
     """
-    if not 0 <= n <= 10:
-        raise ValueError("n must be in [0, 10]")
-    poly = brede_poly(n)
+    poly = brede_poly(GammaRequest(n, 1.0, Method.BREDE).n)
 
     def f(v):
         return poly(-np.log(v)) * np.exp(-v) * (binet_bracket(v) + 0.5)
@@ -552,10 +560,8 @@ def gamma_limit(n: int, r: int) -> MethodResult:
     The error estimate is |value(r) - value(r/2)|, an honest upper-bound
     proxy for the remaining truncation error.
     """
-    if not 0 <= n <= 8:
-        raise ValueError("n must be in [0, 8]")
-    if r < 10:
-        raise ValueError("r must be at least 10")
+    n = GammaRequest(n, 1.0, Method.LIMIT).n
+    r = _require_order(r, "r", 10)
     m = np.arange(1, r + 1, dtype=float)
     lg = np.log(m)
     terms = lg**n / m
@@ -586,8 +592,7 @@ def a_coefficient(n: int, cfg: Optional[QuadConfig] = None) -> Tuple[float, floa
 
     Returned as (integral form, binomial form); their equality is the test.
     """
-    if not 0 <= n <= 8:
-        raise ValueError("n must be in [0, 8]")
+    n = _require_order(n, "n", 0, 8)
     integral = _log_moments(lambda v: binet_bracket(v) + 0.5, 1.0, (n,), cfg).value[0]
     binomial = math.fsum(
         comb(n, j) * (-1.0) ** j * gamma_value(j, 1.0) * gamma_derivative_at_one(n - j)
@@ -606,10 +611,8 @@ def inversion_sum(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> T
 
     Returned as (sum side, integral side).
     """
-    if not 0 <= n <= 8:
-        raise ValueError("n must be in [0, 8]")
-    req = GammaRequest(n, float(u))
-    u = req.u
+    n = _require_order(n, "n", 0, 8)
+    u = _require_positive(u, "u")
     lg = math.log(u)
     sum_side = math.fsum(
         comb(n, k)
@@ -632,8 +635,7 @@ def i_n_integral(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
     because the contribution of v in (0, 1), where log^n v < 0, outgrows
     the positive v > 1 part once n is large and odd.
     """
-    if not 0 <= n <= _TESTED_MAX_ORDER:
-        raise ValueError(f"n must be in [0, {_TESTED_MAX_ORDER}]")
+    n = _require_order(n, "n", 0, _MAX_DERIVATIVE)
     r = _log_moments(binet_bracket, 1.0, (n,), cfg)
     return MethodResult(
         value=r.value[0],
@@ -654,10 +656,7 @@ def zeta_prime0(u: float, cfg: Optional[QuadConfig] = None) -> float:
     external check; u = 1 gives -(1/2) log 2pi.  The bracket-over-v kernel
     uses its series form near 0 (removable singularity, limit 1/12).
     """
-    u = float(u)
-    if not u > 0.0:
-        raise ValueError(f"u must be positive, got {u!r}")
-
+    u = _require_positive(u, "u")
     moment = _log_moments(binet_bracket_over_v, u, (0,), cfg).value[0]
     return moment - (0.5 - u) * math.log(u) - u
 
@@ -669,9 +668,7 @@ def zeta_second0(u: float, cfg: Optional[QuadConfig] = None) -> float:
     Its u-derivative equals 2 gamma_1(u), which the test suite checks by
     central finite differences against :func:`gamma_hasse`.
     """
-    u = float(u)
-    if not u > 0.0:
-        raise ValueError(f"u must be positive, got {u!r}")
+    u = _require_positive(u, "u")
 
     def f(xc):
         num = np.log(u * u + xc * xc) * np.arctan2(xc, u)
@@ -690,9 +687,7 @@ def barnes_g_log(t: float, cfg: Optional[QuadConfig] = None) -> float:
 
     Satisfies the recursion G(1+t) = Gamma(t) G(t); t = 3 gives log 2.
     """
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    t = _require_positive(t, "t")
 
     def f(v):
         # (e^{-t v} - e^{-v})/v, stabilized: expm1 form in the cancellation
@@ -726,10 +721,8 @@ def hurwitz_hermite(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
     Reaches the analytic continuation: s = 0 gives -1/2 - ... 1/2 - 1 = -1/2
     (the integrand vanishes identically) and s = -1 gives -1/12.
     """
-    s = float(s)
-    u = float(u)
-    if not u > 0.0:
-        raise ValueError(f"u must be positive, got {u!r}")
+    s = _require_finite(s, "s")
+    u = _require_positive(u, "u")
     if s == 1.0:
         raise ValueError("s = 1 is the pole of zeta(s, u)")
 
@@ -753,10 +746,8 @@ def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
     :func:`hurwitz_hermite`; likewise s = 1 (pole) and s <= -1 (kernel no
     longer integrable) are domain errors.
     """
-    s = float(s)
-    u = float(u)
-    if not u > 0.0:
-        raise ValueError(f"u must be positive, got {u!r}")
+    s = _require_finite(s, "s")
+    u = _require_positive(u, "u")
     if s == 1.0:
         raise ValueError("s = 1 is the pole of zeta(s, u)")
     if not s > -1.0:
@@ -805,10 +796,8 @@ def delta_n(n: int, m: int = 1_000_000) -> Tuple[float, float]:
     telescopes to 1/2 at every m; for n = 1 the limit converges like
     O(1/m).
     """
-    if n not in (0, 1):
-        raise ValueError("only n = 0 and n = 1 are defined for this family")
-    if m < 10:
-        raise ValueError("m must be at least 10")
+    n = _require_order(n, "n", 0, 1)
+    m = _require_order(m, "m", 10)
     if n == 0:
         # sum_{k<=m} 1 - int_1^m dx - 1/2 = m - (m-1) - 1/2, exactly 1/2.
         limit_form = float(m) - (m - 1.0) - 0.5

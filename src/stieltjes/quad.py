@@ -46,7 +46,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .specfun import BERN_OVER_FACT
+from .specfun import BERN_OVER_FACT, _require_finite, _require_positive
 
 __all__ = [
     "QuadConfig",
@@ -298,9 +298,7 @@ def legendre_relation_check(t: float, cfg: Optional[QuadConfig] = None) -> float
     The oscillation is tame because e^{-2 pi x} decay dominates; the residual
     is the analytic zero of the identity and is returned for the harness.
     """
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    t = _require_positive(t, "t")
 
     def f(x):
         return np.sin(x * t) / np.expm1(2.0 * math.pi * x)
@@ -317,10 +315,8 @@ def atan_laplace_check(u: float, x: float, cfg: Optional[QuadConfig] = None) -> 
     and sin(x y)/y is stable down to subnormal y, so no special-casing is
     required at runtime.
     """
-    u = float(u)
-    x = float(x)
-    if not u > 0.0:
-        raise ValueError(f"u must be positive, got {u!r}")
+    u = _require_positive(u, "u")
+    x = _require_finite(x, "x")
 
     def f(y):
         return np.exp(-u * y) * np.sin(x * y) / y

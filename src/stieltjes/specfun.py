@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import mpmath as mp
 import numpy as np
@@ -74,17 +74,13 @@ class ConstantTable:
 
     def zeta(self, k: int) -> float:
         """zeta(k) for integer k in [2, k_max]."""
-        if not 2 <= k <= self.k_max:
-            raise ValueError(f"zeta({k}) is outside the table range [2, {self.k_max}]")
-        return self.zeta_values[k - 2]
+        return self.zeta_values[_require_order(k, "k", 2, self.k_max) - 2]
 
 
 @lru_cache(maxsize=None)
 def constant_table(k_max: int = 20) -> ConstantTable:
     """Immutable constant table with zeta(2)..zeta(k_max); cached per k_max."""
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    zetas = tuple(float(mp.zeta(k)) for k in range(2, k_max + 1))
+    zetas = tuple(float(mp.zeta(k)) for k in range(2, _require_order(k_max, "k_max", 2) + 1))
     return ConstantTable(
         euler_gamma=float(np.euler_gamma),
         log_2=math.log(2.0),
@@ -93,10 +89,30 @@ def constant_table(k_max: int = 20) -> ConstantTable:
     )
 
 
+# The package's input contract: every public function checks its integer
+# orders and real arguments through these three, before any quadrature.
+
+
+def _require_order(k, name: str = "n", lo: int = 0, hi: Optional[int] = None) -> int:
+    """k as an int in [lo, hi] (no upper bound when hi is None); a Python or
+    numpy integer, never a float, however integral."""
+    if not (isinstance(k, (int, np.integer)) and lo <= k and (hi is None or k <= hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {k!r}")
+    return int(k)
+
+
 def _require_positive(x: float, name: str = "x") -> float:
     x = float(x)
     if not x > 0.0 or not math.isfinite(x):
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
+def _require_finite(x: float, name: str = "s") -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 
 
@@ -115,8 +131,7 @@ def digamma(x: float) -> float:
 
 def polygamma(p: int, x: float) -> float:
     """psi^{(p)}(x) = (-1)^{p+1} p! zeta(p+1, x) for 1 <= p <= 12, x > 0."""
-    if not 1 <= p <= _MAX_POLYGAMMA:
-        raise ValueError(f"polygamma order must be in [1, {_MAX_POLYGAMMA}]")
+    p = _require_order(p, "polygamma order", 1, _MAX_POLYGAMMA)
     return float(mp.polygamma(p, _require_positive(x)))
 
 
@@ -127,7 +142,7 @@ def hurwitz_zeta_series(s: float, x: float) -> float:
     s in (1, 50].  s <= 1 raises a domain error -- analytic continuation is
     deliberately the business of the integral representations.
     """
-    s = float(s)
+    s = _require_finite(s, "s")
     x = _require_positive(x)
     if not s > 1.0:
         raise ValueError(f"series evaluation needs s > 1, got s = {s!r}")

@@ -46,13 +46,15 @@ def test_gamma_away_from_unit_argument_drops_unit_only_methods(capsys):
 
 
 def test_gamma_beyond_table_runs_only_coffey(capsys):
-    """At n = 13 the default method set keeps only the routes defined there;
-    Coffey still answers (with its reduced-precision warning)."""
-    with pytest.warns(RuntimeWarning, match="beyond the tested envelope"):
+    """At n = 13 the default method set keeps only the routes whose
+    envelope admits it; Coffey answers, and nothing is warned."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["gamma", "-n", "13"]) == EX_OK
-    out = capsys.readouterr().out
-    rows = out.splitlines()[1:]
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("coffey")
+    assert captured.err == ""
 
 
 def test_gamma_hasse_beyond_table_is_usage_error_without_warning(capsys):
@@ -221,11 +223,19 @@ def test_table_json(argv, rc, n_rows, tmp_path, capsys):
         ["gamma", "--method", "limit", "-u", "0.5"],
         ["table", "no_such_kind"],
         ["validate", "--suite", "no_such_suite"],
+        ["table", "gamma_n", "--max-n", "13"],
+        ["table", "In", "--max-n", "-1"],
+        ["table", "gamma_derivs", "--max-m", "13"],
+        ["gamma", "-n", "2", "-u", "2", "--method", "brede"],
     ],
 )
-def test_usage_errors(argv, capsys):
-    assert main(argv) == EX_USAGE
-    capsys.readouterr()
+def test_usage_errors(argv, tmp_path, capsys):
+    """A usage error is found before anything is computed or printed: exit
+    64, empty stdout, and no JSON report."""
+    path = tmp_path / "report.json"
+    assert main(argv + ["--json", str(path)]) == EX_USAGE
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
 
 
 def test_bad_env_tolerance(monkeypatch, capsys):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from stieltjes import (
+    ENVELOPES,
     FLAG_NO_CONVERGENCE,
     GammaRequest,
     Method,
@@ -60,12 +61,34 @@ def test_request_validation():
             GammaRequest(n, u)
 
 
-def test_large_order_warns():
-    with pytest.warns(RuntimeWarning):
-        GammaRequest(13, 1.0)
+def test_envelopes_bound_each_route():
+    """Each route's request admits its largest n (at its one u, if any) and
+    rejects the next n and any other u."""
+    for method, envelope in ENVELOPES.items():
+        u = envelope.u or 2.0
+        top = 40 if envelope.max_n is None else envelope.max_n
+        assert GammaRequest(top, u, method).n == top
+        if envelope.max_n is not None:
+            with pytest.raises(ValueError, match=f"n <= {envelope.max_n}"):
+                GammaRequest(top + 1, u, method)
+        if envelope.u is not None:
+            with pytest.raises(ValueError, match="at u = 1"):
+                GammaRequest(0, 2.0, method)
+
+
+@pytest.mark.parametrize("u", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n", [13, 20, 40])
+def test_coffey_beyond_table_matches_mpmath(n, u):
+    """Coffey has no order cap: past the c_k table it still matches
+    mp.stieltjes at 30 digits, and warns of nothing.  Its estimate is not
+    asserted; it under-reports at several of these points."""
+    with mp.workdps(30):
+        ref = float(mp.stieltjes(n, u))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        GammaRequest(12, 1.0)  # inside the tested envelope: silent
+        r = gamma_coffey(n, u)
+    assert not r.flags
+    assert abs(r.value - ref) < _scaled(ref, 1e-12)
 
 
 @pytest.mark.parametrize("route", [gamma_hasse, gamma_bell_family])
