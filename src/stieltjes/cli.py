@@ -28,6 +28,7 @@ from typing import List, Optional
 from . import __version__
 from .bellpoly import _MAX_DERIVATIVE, gamma_derivative_at_one
 from .core import (
+    _LIMIT_MIN_TERMS,
     ENVELOPES,
     GammaRequest,
     Method,
@@ -150,9 +151,9 @@ def _write_json(path: str, payload) -> None:
         handle.write("\n")
 
 
-def _format_result(label: str, r: MethodResult) -> str:
-    flags = f"  [{','.join(r.flags)}]" if r.flags else ""
-    return f"{label:8s} {r.value:.15g}  est {r.error_estimate:.3g}  evals {r.evaluations}{flags}"
+def _flags(r: MethodResult) -> str:
+    """The text suffix that shows a result's flags, or "" when it has none."""
+    return f"  [{','.join(r.flags)}]" if r.flags else ""
 
 
 def _cmd_gamma(args) -> int:
@@ -165,6 +166,8 @@ def _cmd_gamma(args) -> int:
         selected = [Method(args.method)]
     for method in selected:
         GammaRequest(n, u, method)
+    if Method.LIMIT in selected:
+        _require_order(args.limit_terms, "--limit-terms", _LIMIT_MIN_TERMS)
     routes = {
         Method.HASSE: lambda: gamma_hasse(n, u, cfg=cfg),
         Method.COFFEY: lambda: gamma_coffey(n, u, cfg),
@@ -175,7 +178,8 @@ def _cmd_gamma(args) -> int:
     results = {method.value: routes[method]() for method in selected}
     print(f"gamma_{n}(u={u:.15g})")
     for method, r in results.items():
-        print(_format_result(method, r))
+        line = f"{method:8s} {r.value:.15g}  est {r.error_estimate:.3g}  evals {r.evaluations}"
+        print(line + _flags(r))
     spread = None
     if len(results) > 1:
         values = [r.value for r in results.values()]
@@ -186,15 +190,7 @@ def _cmd_gamma(args) -> int:
             "version": __version__,
             "n": n,
             "u": u,
-            "results": {
-                m: {
-                    "value": r.value,
-                    "error_estimate": r.error_estimate,
-                    "evaluations": r.evaluations,
-                    "flags": list(r.flags),
-                }
-                for m, r in results.items()
-            },
+            "results": {m: r.as_dict() for m, r in results.items()},
         }
         if spread is not None:
             payload["max_spread"] = spread
@@ -239,11 +235,8 @@ def _cmd_table(args) -> int:
     def result_row(n: int, r: MethodResult) -> None:
         nonlocal converged
         converged = converged and r.converged
-        rows.append(
-            {"n": n, "value": r.value, "error_estimate": r.error_estimate, "flags": list(r.flags)}
-        )
-        flags = "" if r.converged else f"  [{','.join(r.flags)}]"
-        print(f"{n:<2d} {r.value:.15g}  est {r.error_estimate:.3g}{flags}")
+        rows.append({"n": n, **r.as_dict()})
+        print(f"{n:<2d} {r.value:.15g}  est {r.error_estimate:.3g}{_flags(r)}")
 
     if args.kind == "gamma_n":
         print(f"n  gamma_n(u={args.argument:.15g})  [binomial-series route]")

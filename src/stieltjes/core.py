@@ -39,15 +39,8 @@ import mpmath as mp
 import numpy as np
 
 from .bellpoly import _MAX_DERIVATIVE, gamma_derivative_at_one, inv_gamma_derivative_at_zero
-from .quad import (
-    QuadConfig,
-    QuadResult,
-    binet_bracket,
-    binet_bracket_over_v,
-    integrate_finite,
-    integrate_semiaxis,
-)
-from .specfun import _require_finite, _require_order, _require_positive, constant_table, log_gamma
+from .quad import QuadConfig, QuadResult, binet_bracket, binet_bracket_over_v, integrate_semiaxis
+from .specfun import _require_finite, _require_order, _require_positive, log_gamma
 
 __all__ = [
     "FLAG_CANCELLATION",
@@ -78,6 +71,8 @@ __all__ = [
 ]
 
 _CANCELLATION_RATIO = 1e8
+# gamma_limit's smallest partial-sum length r (its estimate compares r with r/2).
+_LIMIT_MIN_TERMS = 10
 # Beyond this, exp(-2 pi x) has underflowed and the e^{2 pi x}-weighted
 # integrands are identically zero to binary64.
 _WEIGHT_CUTOFF = 200.0
@@ -116,6 +111,15 @@ class MethodResult:
     @property
     def converged(self) -> bool:
         return FLAG_NO_CONVERGENCE not in self.flags
+
+    def as_dict(self) -> dict:
+        """value, error_estimate, evaluations and flags: the JSON form of a result."""
+        return {
+            "value": self.value,
+            "error_estimate": self.error_estimate,
+            "evaluations": self.evaluations,
+            "flags": list(self.flags),
+        }
 
 
 class _Envelope(NamedTuple):
@@ -186,13 +190,15 @@ class RealPolynomial:
         )
 
 
-def _assemble_flags(max_intermediate: float, value: float, converged: bool) -> Tuple[str, ...]:
-    flags = []
-    if max_intermediate > abs(value) * _CANCELLATION_RATIO:
-        flags.append(FLAG_CANCELLATION)
+def _result(method, value, estimate, max_term, evaluations, converged=True, roundoff=2e-16):
+    """The one result rule: the propagated ``estimate`` plus ``roundoff`` times
+    the largest intermediate ``max_term``; "cancellation" when that
+    intermediate exceeds |value| * 1e8, "no_convergence" when an integral did
+    not converge."""
+    flags = (FLAG_CANCELLATION,) if max_term > abs(value) * _CANCELLATION_RATIO else ()
     if not converged:
-        flags.append(FLAG_NO_CONVERGENCE)
-    return tuple(flags)
+        flags += (FLAG_NO_CONVERGENCE,)
+    return MethodResult(value, estimate + roundoff * max_term, method, evaluations, flags)
 
 
 def _log_power_prefactor(n: int, u: float) -> float:
@@ -350,13 +356,9 @@ def gamma_hasse(
         _hasse_tail_kernel(j_max), req.n, req.u, cfg
     )
     value = -head / (req.n + 1) + tail
-    max_term = max(head_term, tail_term)
-    return MethodResult(
-        value=value,
-        error_estimate=tail_estimate + 4e-16 * max(abs(value), max_term),
-        method=Method.HASSE,
-        evaluations=j_max + 1 + r.evaluations,
-        flags=_assemble_flags(max_term, value, r.converged),
+    max_term = max(abs(value), head_term, tail_term)
+    return _result(
+        Method.HASSE, value, tail_estimate, max_term, j_max + 1 + r.evaluations, r.converged, 4e-16
     )
 
 
@@ -391,14 +393,9 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
         return num / den
 
     r = integrate_semiaxis(_hermite_weighted(f), cfg)
-    value = prefactor + r.value
     max_term = max(abs(prefactor), abs(r.value))
-    return MethodResult(
-        value=value,
-        error_estimate=r.error_estimate + 2e-16 * max_term,
-        method=Method.COFFEY,
-        evaluations=r.evaluations,
-        flags=_assemble_flags(max_term, value, r.converged),
+    return _result(
+        Method.COFFEY, prefactor + r.value, r.error_estimate, max_term, r.evaluations, r.converged
     )
 
 
@@ -426,14 +423,13 @@ def gamma1_hermite(u: float, cfg: Optional[QuadConfig] = None) -> MethodResult:
     r1 = integrate_semiaxis(_hermite_weighted(f_log), cfg)
     r2 = integrate_semiaxis(_hermite_weighted(f_atan), cfg)
     prefactor = math.log(u) / (2.0 * u) - math.log(u) ** 2 / 2.0
-    value = prefactor + r1.value - 2.0 * u * r2.value
-    max_term = max(abs(prefactor), abs(r1.value), abs(2.0 * u * r2.value))
-    return MethodResult(
-        value=value,
-        error_estimate=r1.error_estimate + 2.0 * u * r2.error_estimate + 2e-16 * max_term,
-        method=Method.HERMITE1,
-        evaluations=r1.evaluations + r2.evaluations,
-        flags=_assemble_flags(max_term, value, r1.converged and r2.converged),
+    return _result(
+        Method.HERMITE1,
+        prefactor + r1.value - 2.0 * u * r2.value,
+        r1.error_estimate + 2.0 * u * r2.error_estimate,
+        max(abs(prefactor), abs(r1.value), abs(2.0 * u * r2.value)),
+        r1.evaluations + r2.evaluations,
+        r1.converged and r2.converged,
     )
 
 
@@ -484,14 +480,9 @@ def gamma_bell_family(
     total, estimate, max_term, r = _moment_convolution(
         lambda v: binet_bracket(v) + shift, req.n, u, cfg
     )
-    value = prefactor + total
     max_term = max(abs(prefactor), max_term)
-    return MethodResult(
-        value=value,
-        error_estimate=estimate + 2e-16 * max_term,
-        method=Method.BELL_FAMILY,
-        evaluations=r.evaluations,
-        flags=_assemble_flags(max_term, value, r.converged),
+    return _result(
+        Method.BELL_FAMILY, prefactor + total, estimate, max_term, r.evaluations, r.converged
     )
 
 
@@ -539,13 +530,7 @@ def gamma_brede(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
 
     r = integrate_semiaxis(f, cfg)
     max_term = max(abs(c) for c in poly.coefficients)
-    return MethodResult(
-        value=r.value,
-        error_estimate=r.error_estimate + 2e-16 * max_term,
-        method=Method.BREDE,
-        evaluations=r.evaluations,
-        flags=_assemble_flags(max_term, r.value, r.converged),
-    )
+    return _result(Method.BREDE, r.value, r.error_estimate, max_term, r.evaluations, r.converged)
 
 
 # --- defining limit with Euler-Maclaurin correction -------------------------
@@ -561,7 +546,7 @@ def gamma_limit(n: int, r: int) -> MethodResult:
     proxy for the remaining truncation error.
     """
     n = GammaRequest(n, 1.0, Method.LIMIT).n
-    r = _require_order(r, "r", 10)
+    r = _require_order(r, "r", _LIMIT_MIN_TERMS)
     m = np.arange(1, r + 1, dtype=float)
     lg = np.log(m)
     terms = lg**n / m
@@ -571,14 +556,7 @@ def gamma_limit(n: int, r: int) -> MethodResult:
         return float(np.sum(terms[:rr])) - lr ** (n + 1) / (n + 1) - lr**n / (2.0 * rr)
 
     value = assemble(r)
-    half = assemble(r // 2)
-    return MethodResult(
-        value=value,
-        error_estimate=abs(value - half),
-        method=Method.LIMIT,
-        evaluations=r,
-        flags=(),
-    )
+    return _result(Method.LIMIT, value, abs(value - assemble(r // 2)), 0.0, r)
 
 
 # --- inversion / positivity machinery ---------------------------------------
@@ -637,12 +615,8 @@ def i_n_integral(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
     """
     n = _require_order(n, "n", 0, _MAX_DERIVATIVE)
     r = _log_moments(binet_bracket, 1.0, (n,), cfg)
-    return MethodResult(
-        value=r.value[0],
-        error_estimate=r.error_estimate[0],
-        method=Method.BELL_FAMILY,
-        evaluations=r.evaluations,
-        flags=_assemble_flags(abs(r.value[0]), r.value[0], r.converged),
+    return _result(
+        Method.BELL_FAMILY, r.value[0], r.error_estimate[0], 0.0, r.evaluations, r.converged
     )
 
 

@@ -46,7 +46,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .specfun import BERN_OVER_FACT, _require_finite, _require_positive
+from .specfun import BERN_OVER_FACT, _require_finite, _require_order, _require_positive
 
 __all__ = [
     "QuadConfig",
@@ -96,8 +96,8 @@ class QuadConfig:
     def __post_init__(self):
         if not self.target_tol >= _MIN_TOL:
             raise ValueError(f"target_tol must be >= {_MIN_TOL}, got {self.target_tol!r}")
-        if not 2 <= int(self.max_level) <= 20:
-            raise ValueError(f"max_level must be in [2, 20], got {self.max_level!r}")
+        object.__setattr__(self, "target_tol", _require_finite(self.target_tol, "target_tol"))
+        object.__setattr__(self, "max_level", _require_order(self.max_level, "max_level", 2, 20))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from stieltjes import brede_poly
+from stieltjes import brede_poly, cli
 from stieltjes.cli import EX_IO, EX_NUMERICAL, EX_OK, EX_USAGE, main
 
 import refs
@@ -181,31 +181,47 @@ def test_table_i_n_shows_negative_odd_orders(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, rc, n_rows",
+    "argv, rc, flags",
     [
-        (["table", "gamma_n", "--max-n", "2"], EX_OK, 3),
-        (["table", "In", "--max-n", "12", "--max-level", "2"], EX_NUMERICAL, 13),
+        (["table", "gamma_n", "--max-n", "2"], EX_OK, [[]] * 3),
+        (
+            ["table", "In", "--max-n", "12", "--max-level", "2"],
+            EX_NUMERICAL,
+            [["no_convergence"]] * 13,
+        ),
+        (
+            ["table", "gamma_n", "-u", "0.630957", "--max-n", "12"],
+            EX_OK,
+            [[]] * 12 + [["cancellation"]],
+        ),
     ],
-    ids=["converged", "starved"],
+    ids=["converged", "starved", "cancellation"],
 )
-def test_table_json(argv, rc, n_rows, tmp_path, capsys):
-    """JSON rows carry their flags, so a reader of an exit-2 table can tell
-    which rows failed."""
+def test_table_json(argv, rc, flags, tmp_path, capsys):
+    """Table rows carry the fields and flags of a ``gamma`` result, in the
+    JSON and in the text, so a reader can tell which rows failed (exit 2) or
+    lost digits to cancellation (exit 0)."""
     path = tmp_path / "table.json"
     assert main(argv + ["--json", str(path)]) == rc
-    capsys.readouterr()
+    lines = capsys.readouterr().out.splitlines()[1:]
     payload = json.loads(path.read_text())
     assert payload["kind"] == argv[1]
-    assert len(payload["rows"]) == n_rows
-    flagged = [row for row in payload["rows"] if row["flags"]]
-    if rc == EX_OK:
-        assert not flagged
-    else:
-        assert any("no_convergence" in row["flags"] for row in flagged)
+    rows = payload["rows"]
+    assert [row["flags"] for row in rows] == flags
+    assert len(lines) == len(rows)
+    for row, line in zip(rows, lines):
+        assert list(row) == ["n", "value", "error_estimate", "evaluations", "flags"]
+        assert line.split()[4:] == ([f"[{','.join(row['flags'])}]"] if row["flags"] else [])
 
 
 # ---------------------------------------------------------------------------
 # usage and I/O errors
+
+ROUTES = "gamma_hasse gamma_coffey gamma_bell_family gamma_brede gamma_limit i_n_integral".split()
+
+
+def _no_route(*args, **kwargs):
+    raise AssertionError("a route ran before the usage error was found")
 
 
 @pytest.mark.parametrize(
@@ -227,15 +243,21 @@ def test_table_json(argv, rc, n_rows, tmp_path, capsys):
         ["table", "In", "--max-n", "-1"],
         ["table", "gamma_derivs", "--max-m", "13"],
         ["gamma", "-n", "2", "-u", "2", "--method", "brede"],
+        ["gamma", "-n", "3", "--limit-terms", "5"],
     ],
 )
-def test_usage_errors(argv, tmp_path, capsys):
+def test_usage_errors(argv, tmp_path, capsys, monkeypatch):
     """A usage error is found before anything is computed or printed: exit
-    64, empty stdout, and no JSON report."""
+    64, no route run, empty stdout, and no JSON report."""
+    for route in ROUTES:
+        monkeypatch.setattr(cli, route, _no_route)
     path = tmp_path / "report.json"
     assert main(argv + ["--json", str(path)]) == EX_USAGE
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert not path.exists()
+    if "--limit-terms" in argv:
+        assert "--limit-terms" in captured.err
 
 
 def test_bad_env_tolerance(monkeypatch, capsys):

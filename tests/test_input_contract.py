@@ -31,6 +31,8 @@ BAD_CALLS = [
     "hurwitz_zeta_series(2.0, inf)",
     "hurwitz_zeta_series(2.0, nan)",
     # quad
+    "QuadConfig(max_level=2.5)",
+    "QuadConfig(target_tol=inf)",
     "integrate_finite(abs, 0.0, inf)",
     "integrate_finite(abs, nan, 1.0)",
     "legendre_relation_check(inf)",
@@ -114,14 +116,13 @@ BAD_CALLS = [
 
 # Public callables that take no order or real argument of their own: records
 # and exceptions, the integrand-only semi-axis engine, the vectorized Binet
-# kernels (evaluated on quadrature nodes, where B(inf) = 1/2 is their limit),
-# QuadConfig (which keeps its own bounds) and the argument-free gamma1_via_alt.
+# kernels (evaluated on quadrature nodes, where B(inf) = 1/2 is their limit)
+# and the argument-free gamma1_via_alt.
 NO_ARGUMENT_TO_CHECK = {
     "BellPolynomial",
     "IntegrandError",
     "Method",
     "MethodResult",
-    "QuadConfig",
     "QuadResult",
     "RealPolynomial",
     "binet_bracket",

@@ -1,10 +1,15 @@
-"""The package namespace re-exports each module's public names, unchanged."""
+"""The package namespace re-exports each module's public names, unchanged,
+and no module imports a name it never reads."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import stieltjes
+
+SOURCES = sorted(Path(stieltjes.__file__).parent.glob("*.py"))
 
 MODULES = ("bellpoly", "core", "alteta", "quad", "specfun", "validate")
 
@@ -23,3 +28,25 @@ def test_package_all_is_the_union_of_module_lists():
         names.update(importlib.import_module(f"stieltjes.{module_name}").__all__)
     assert set(stieltjes.__all__) == names
     assert len(stieltjes.__all__) == len(set(stieltjes.__all__))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    """Every imported name is read somewhere in its module; a name listed in
+    ``__all__`` counts as read.  ``from __future__`` and ``*`` re-exports are
+    not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    module = "stieltjes" if path.stem == "__init__" else f"stieltjes.{path.stem}"
+    read.update(importlib.import_module(module).__all__)
+    assert sorted(imported - read) == []
