@@ -4,7 +4,7 @@ Hurwitz zeta continuation and the kernel moment family
 
 Two integral continuations of zeta(s, u) -- the Hermite (Abel-Plana)
 integral, valid for every s != 1, and a Laplace-type Binet-kernel integral
-for s > -1 -- are compared against each other and against the plain series
+for s >= -0.95 -- are compared against each other and against the plain series
 where it converges.  The same Binet kernel then yields the moment family
 I_n, whose sign pattern is more interesting than folklore suggests.
 """
@@ -23,7 +23,7 @@ from stieltjes import (
     inversion_sum,
 )
 
-# %% Continuation cross-check: two routes, all real s (s > -1 for laplace)
+# %% Continuation cross-check: two routes, all real s (s >= -0.95 for laplace)
 
 print("s      u     hermite                laplace                |diff|")
 for s in (-0.5, 0.5, 2.0, 3.0):

@@ -41,7 +41,7 @@ from .core import (
     gamma_limit,
     i_n_integral,
 )
-from .quad import IntegrandError, QuadConfig
+from .quad import _MIN_TOL, IntegrandError, QuadConfig
 from .specfun import _require_order, _require_positive
 from .validate import SUITE_NAMES, run_suite
 
@@ -139,7 +139,7 @@ def _resolve_tol(args) -> Optional[float]:
 def _resolve_cfg(args, tol: Optional[float]) -> Optional[QuadConfig]:
     kwargs = {}
     if tol is not None:
-        kwargs["target_tol"] = max(tol, 1e-15)
+        kwargs["target_tol"] = max(tol, _MIN_TOL)
     if args.max_level is not None:
         kwargs["max_level"] = args.max_level
     return QuadConfig(**kwargs) if kwargs else None

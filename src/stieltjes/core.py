@@ -39,7 +39,14 @@ import mpmath as mp
 import numpy as np
 
 from .bellpoly import _MAX_DERIVATIVE, gamma_derivative_at_one, inv_gamma_derivative_at_zero
-from .quad import QuadConfig, QuadResult, binet_bracket, binet_bracket_over_v, integrate_semiaxis
+from .quad import (
+    QuadConfig,
+    QuadResult,
+    _abel_plana,
+    binet_bracket,
+    binet_bracket_over_v,
+    integrate_semiaxis,
+)
 from .specfun import _require_finite, _require_order, _require_positive, log_gamma
 
 __all__ = [
@@ -73,9 +80,6 @@ __all__ = [
 _CANCELLATION_RATIO = 1e8
 # gamma_limit's smallest partial-sum length r (its estimate compares r with r/2).
 _LIMIT_MIN_TERMS = 10
-# Beyond this, exp(-2 pi x) has underflowed and the e^{2 pi x}-weighted
-# integrands are identically zero to binary64.
-_WEIGHT_CUTOFF = 200.0
 
 FLAG_CANCELLATION = "cancellation"
 FLAG_NO_CONVERGENCE = "no_convergence"
@@ -209,20 +213,6 @@ def _log_power_prefactor(n: int, u: float) -> float:
     return lg**n / (2.0 * u) - lg ** (n + 1) / (n + 1)
 
 
-def _hermite_weighted(g):
-    """Integrand on (0, inf) for a g carrying the 1/(e^{2 pi x} - 1) weight.
-
-    g only ever sees the clamped nodes xc = min(x, _WEIGHT_CUTOFF); past the
-    cutoff the weighted integrand is identically zero to binary64.
-    """
-
-    def f(x):
-        xc = np.minimum(x, _WEIGHT_CUTOFF)
-        return np.where(x > _WEIGHT_CUTOFF, 0.0, g(xc))
-
-    return f
-
-
 # --- Hasse series with exact integral tail ----------------------------------
 
 
@@ -234,22 +224,20 @@ def _hasse_tail_kernel(j_max: int):
     This is the generating-function remainder of the Hasse outer sum
     truncated after j = J: sum_{j>J} phi^j/(j+1) = rho_J(t)/t with
     L_N(phi) = sum_{m=1}^N phi^m/m (so that L_inf = -log(1-phi) = t).
-    Where the analytic bound phi^{J+1}/((J+2)(1-phi)) is below 1e-19 the
-    density is forced to exactly 0: the true value is below that bound and
-    the raw t - L difference there is pure cancellation noise.
+    Where the analytic bound phi^{J+1}/((J+2)(1-phi)) = phi^{J+1} e^t/(J+2)
+    is below 1e-19 the density is forced to exactly 0: the true value is
+    below that bound and the raw t - L difference there is pure cancellation
+    noise.
     """
     recip = [1.0 / m for m in range(j_max + 1, 0, -1)]
-    log_threshold = math.log(1e-19)
+    log_threshold = math.log(1e-19) + math.log(j_max + 2)
 
     def kernel(t: np.ndarray) -> np.ndarray:
         phi = -np.expm1(-t)
         acc = np.zeros_like(phi)
         for c in recip:
             acc = (acc + c) * phi
-        with np.errstate(divide="ignore"):
-            bound = (j_max + 1) * np.log(phi) - np.log(
-                (j_max + 2) * np.maximum(1.0 - phi, 1e-305)
-            )
+        bound = (j_max + 1) * np.log(phi) + t
         return np.where(bound > log_threshold, (t - acc) / phi, 0.0) / t
 
     return kernel
@@ -375,24 +363,22 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
     """gamma_n(u) from the Hermite-contour representation
 
         gamma_n(u) = log^n(u)/(2u) - log^{n+1}(u)/(n+1)
-                     + int_0^inf -2 Im[(u - i x) log^n(u + i x)]
-                                 / [(u^2 + x^2)(e^{2 pi x} - 1)] dx,
+                     + int_0^inf -2 Im[log^n(z)/z] / (e^{2 pi x} - 1) dx,
 
-    with the principal complex logarithm (safe: u > 0 keeps u + i x in the
-    right half-plane).  The i[z L - conj(z L)] combination of the analytic
-    form is folded to -2 Im[z L] so the whole computation is real.
+    z = u + i x, with the principal complex logarithm (safe: u > 0 keeps z in
+    the right half-plane).  The i[L/z - conj(L/z)] combination of the
+    analytic form is folded to -2 Im[L/z] so the whole computation is real.
+    Dividing by z never forms u^2 + x^2, which underflows for tiny u and x.
     """
     req = GammaRequest(n, u, Method.COFFEY)
     u = req.u
     prefactor = _log_power_prefactor(req.n, u)
 
-    def f(xc):
-        z = u + 1j * xc
-        num = -2.0 * np.imag((u - 1j * xc) * np.log(z) ** req.n)
-        den = (u * u + xc * xc) * np.expm1(2.0 * math.pi * xc)
-        return num / den
+    def g(x):
+        z = u + 1j * x
+        return -2.0 * np.imag(np.log(z) ** req.n / z)
 
-    r = integrate_semiaxis(_hermite_weighted(f), cfg)
+    r = _abel_plana(g, cfg)
     max_term = max(abs(prefactor), abs(r.value))
     return _result(
         Method.COFFEY, prefactor + r.value, r.error_estimate, max_term, r.evaluations, r.converged
@@ -408,28 +394,25 @@ def gamma1_hermite(u: float, cfg: Optional[QuadConfig] = None) -> MethodResult:
 
     This is Coffey's integrand at n = 1 split into two real integrals, since
     -2 Im[(u - ix) log(u + ix)] = x log(u^2 + x^2) - 2u atan(x/u); agreement
-    with :func:`gamma_coffey` is not an independent vote.
+    with :func:`gamma_coffey` is not an independent vote.  The two integrals
+    are the rows of one stacked pass.
     """
     u = _require_positive(u, "u")
 
-    def f_log(xc):
-        den = (u * u + xc * xc) * np.expm1(2.0 * math.pi * xc)
-        return xc * np.log(u * u + xc * xc) / den
+    def g(x):
+        r2 = u * u + x * x
+        return np.array([x * np.log(r2), np.arctan2(x, u)]) / r2
 
-    def f_atan(xc):
-        den = (u * u + xc * xc) * np.expm1(2.0 * math.pi * xc)
-        return np.arctan2(xc, u) / den
-
-    r1 = integrate_semiaxis(_hermite_weighted(f_log), cfg)
-    r2 = integrate_semiaxis(_hermite_weighted(f_atan), cfg)
+    r = _abel_plana(g, cfg)
+    (log_part, atan_part), (log_estimate, atan_estimate) = r.value, r.error_estimate
     prefactor = math.log(u) / (2.0 * u) - math.log(u) ** 2 / 2.0
     return _result(
         Method.HERMITE1,
-        prefactor + r1.value - 2.0 * u * r2.value,
-        r1.error_estimate + 2.0 * u * r2.error_estimate,
-        max(abs(prefactor), abs(r1.value), abs(2.0 * u * r2.value)),
-        r1.evaluations + r2.evaluations,
-        r1.converged and r2.converged,
+        prefactor + log_part - 2.0 * u * atan_part,
+        log_estimate + 2.0 * u * atan_estimate,
+        max(abs(prefactor), abs(log_part), abs(2.0 * u * atan_part)),
+        r.evaluations,
+        r.converged,
     )
 
 
@@ -643,12 +626,7 @@ def zeta_second0(u: float, cfg: Optional[QuadConfig] = None) -> float:
     central finite differences against :func:`gamma_hasse`.
     """
     u = _require_positive(u, "u")
-
-    def f(xc):
-        num = np.log(u * u + xc * xc) * np.arctan2(xc, u)
-        return num / np.expm1(2.0 * math.pi * xc)
-
-    r = integrate_semiaxis(_hermite_weighted(f), cfg)
+    r = _abel_plana(lambda x: np.log(u * u + x * x) * np.arctan2(x, u), cfg)
     lg = math.log(u)
     return (0.5 - u) * lg * lg + 2.0 * u * lg - 2.0 * u - 2.0 * r.value
 
@@ -662,16 +640,13 @@ def barnes_g_log(t: float, cfg: Optional[QuadConfig] = None) -> float:
     Satisfies the recursion G(1+t) = Gamma(t) G(t); t = 3 gives log 2.
     """
     t = _require_positive(t, "t")
+    # e^{-t v} - e^{-v} = -sign e^{-a v} expm1((a - b) v), a = min(t, 1) and
+    # b = max(t, 1): no cancellation, and expm1 of a non-positive argument.
+    a, b = min(t, 1.0), max(t, 1.0)
+    sign = 1.0 if t < 1.0 else -1.0
 
     def f(v):
-        # (e^{-t v} - e^{-v})/v, stabilized: expm1 form in the cancellation
-        # zone (both exponentials ~1), direct difference elsewhere.
-        d = (1.0 - t) * v
-        near = np.abs(d) < 20.0
-        ds = np.where(near, d, 0.0)
-        stable = -np.expm1(-ds) * np.exp(-t * v)
-        direct = np.exp(-t * v) - np.exp(-v)
-        return np.where(near, stable, direct) / v * binet_bracket_over_v(v)
+        return -sign * np.exp(-a * v) * np.expm1((a - b) * v) / v * binet_bracket_over_v(v)
 
     r = integrate_semiaxis(f, cfg)
     return (
@@ -699,56 +674,45 @@ def hurwitz_hermite(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
     u = _require_positive(u, "u")
     if s == 1.0:
         raise ValueError("s = 1 is the pole of zeta(s, u)")
-
-    def f(xc):
-        num = np.sin(s * np.arctan2(xc, u))
-        den = (u * u + xc * xc) ** (0.5 * s) * np.expm1(2.0 * math.pi * xc)
-        return num / den
-
-    r = integrate_semiaxis(_hermite_weighted(f), cfg)
+    r = _abel_plana(lambda x: np.sin(s * np.arctan2(x, u)) / (u * u + x * x) ** (0.5 * s), cfg)
     return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + 2.0 * r.value
 
 
 def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> float:
-    """zeta(s, u) by the Laplace/Binet-kernel representation, s in (-1, inf):
+    """zeta(s, u) by the Laplace/Binet-kernel representation, s in [-0.95, inf):
 
         zeta(s, u) = u^{-s}/2 + u^{1-s}/(s-1)
                      + (1/Gamma(s)) int_0^inf e^{-u v} v^{s-1} B(v) dv.
 
-    At s = 0 the 1/Gamma(s) factor vanishes and the representation
-    degenerates, so |s| < 1e-3 is rejected in favor of
-    :func:`hurwitz_hermite`; likewise s = 1 (pole) and s <= -1 (kernel no
-    longer integrable) are domain errors.
+    Near s = -1 the kernel ~ v^s/12 puts mass (1e-300)^(s+1)/(12(s+1)) below
+    the smallest exp-sinh node (~1e-300), which the quadrature loses, so
+    s + 1 < 0.05 is rejected in favor of :func:`hurwitz_hermite`; so is
+    |s| < 1e-3, where the 1/Gamma(s) factor vanishes and the representation
+    degenerates.  s = 1 (pole) is a domain error too.
     """
     s = _require_finite(s, "s")
     u = _require_positive(u, "u")
     if s == 1.0:
         raise ValueError("s = 1 is the pole of zeta(s, u)")
-    if not s > -1.0:
-        raise ValueError(f"this representation needs s > -1, got {s!r}")
+    if not s + 1.0 >= 0.05:
+        raise ValueError(
+            f"s + 1 < 0.05 loses the kernel mass below the first node, got s = {s!r}; "
+            "use hurwitz_hermite"
+        )
     if abs(s) < 1e-3:
         raise ValueError(
             "s within 1e-3 of 0 degenerates (1/Gamma(s) -> 0); use hurwitz_hermite"
         )
 
-    # v^{s-1} B(v) = v^s * [B(v)/v]; the over-v form keeps the subnormal-v
-    # nodes finite for s in (-1, 0].  Beyond v = 800/u the e^{-u v} factor
-    # has underflowed past anything v^{s-1} can recover, so those nodes are
-    # masked before v**(s-1) gets a chance to overflow.
+    # v^{s-1} B(v) = v^s * [B(v)/v], finite down to the smallest node.
+    # Beyond v = 800/u the e^{-u v} factor has underflowed past anything v^s
+    # can recover, so those nodes are masked before v**s can overflow.
     cut = 800.0 / u
 
     def f(v):
         live = v <= cut
         vl = np.where(live, v, 1.0)
-        small = vl < 0.5
-        vn = np.where(small, vl, 1.0)
-        vf = np.where(small, 1.0, vl)
-        kernel = np.where(
-            small,
-            vn**s * binet_bracket_over_v(vn),
-            vf ** (s - 1.0) * binet_bracket(vf),
-        )
-        return np.where(live, np.exp(-u * vl) * kernel, 0.0)
+        return np.where(live, np.exp(-u * vl) * vl**s * binet_bracket_over_v(vl), 0.0)
 
     r = integrate_semiaxis(f, cfg)
     return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + float(mp.rgamma(s)) * r.value

@@ -7,10 +7,12 @@ difference between the two finest levels is reported (honestly, as a
 heuristic) in ``QuadResult.error_estimate``.  Convergence is declared when
 successive levels differ by at most ``target_tol * max(1, |S|)``.
 
-An integrand may return one row of samples or a stack of k rows, shape
-(k, len(x)).  The nodes do not depend on the integrand, so a stack costs one
-pass; each row keeps the value and estimate of the first level at which it
-met the test, exactly as if it had been integrated alone.
+Integrands must be vectorized: f(x) takes the whole node array and returns
+one row of samples, shape (len(x),), or a stack of k rows, (k, len(x)); any
+other shape raises :class:`IntegrandError`, and f's own exceptions pass
+through.  A stack costs one pass, since the nodes do not depend on f; each
+row keeps the value and estimate of the first level at which it met the
+test, exactly as if it had been integrated alone.
 
 Numerical policy, all consequences of binary64:
 
@@ -71,10 +73,12 @@ _TS_T_MAX = math.asinh(-0.5 * math.log(_TRUNCATION_GUARD) / _LAMBDA)
 # exp-sinh: the weight ~ e^z on the decaying side, x = e^z on the growing one.
 _ES_T_LO = -math.asinh(-math.log(_TRUNCATION_GUARD) / _LAMBDA)
 _ES_T_HI = math.asinh(min(-math.log(_TRUNCATION_GUARD), _ES_ABSCISSA_LOG_CAP) / _LAMBDA)
+# Past this x, e^{-2 pi x} has underflowed: Abel-Plana integrands are 0.
+_WEIGHT_CUTOFF = 200.0
 
 
 class IntegrandError(ValueError):
-    """An integrand sample came back non-finite (or raised) at ``abscissa``."""
+    """A sample came back non-finite at ``abscissa``, or f(x) had the wrong shape."""
 
     def __init__(self, abscissa: float, detail: str = "non-finite integrand value"):
         self.abscissa = float(abscissa)
@@ -85,9 +89,9 @@ class IntegrandError(ValueError):
 class QuadConfig:
     """Engine knobs shared by every integral in the package.
 
-    ``target_tol`` is the level-to-level convergence goal (floored at 1e-15,
-    the working precision); ``max_level`` bounds the refinement (level L has
-    step 2^-L).
+    ``target_tol`` is the level-to-level convergence goal; the constructor
+    rejects values below ``_MIN_TOL`` = 1e-15, the working precision.
+    ``max_level`` bounds the refinement (level L has step 2^-L).
     """
 
     target_tol: float = 1e-12
@@ -134,24 +138,13 @@ def _level_grid(level: int, t_lo: float, t_hi: float) -> np.ndarray:
 
 
 def _eval_samples(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Evaluate f on the node vector, tolerating scalar-only integrands.
-
-    A vectorized f returns shape (len(x),) or a stack of rows (k, len(x)).
-    """
+    """Evaluate the vectorized f on the node vector: one row of samples,
+    shape (len(x),), or a stack of rows, shape (k, len(x))."""
     with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(f(x), dtype=float)
-            if out.ndim in (1, 2) and out.shape[-1:] == x.shape:
-                return out
-        except (TypeError, ValueError, ArithmeticError):
-            pass
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            try:
-                out[i] = float(f(float(xi)))
-            except ArithmeticError as exc:
-                raise IntegrandError(xi, f"integrand raised {type(exc).__name__}") from exc
-        return out
+        out = np.asarray(f(x), dtype=float)
+    if out.ndim not in (1, 2) or out.shape[-1:] != x.shape:
+        raise IntegrandError(x[0], f"integrand returned shape {out.shape} for {x.shape} nodes")
+    return out
 
 
 def _refine(f: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig]) -> QuadResult:
@@ -239,6 +232,19 @@ def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadRes
     return _refine(f, nodes, cfg)
 
 
+def _abel_plana(g: Callable, cfg: Optional[QuadConfig]) -> QuadResult:
+    """int_0^inf g(x)/(e^{2 pi x} - 1) dx, the Abel-Plana weight of every
+    Hermite-type integral; g may return a stack of rows.  g only sees the
+    clamped nodes min(x, _WEIGHT_CUTOFF); past the cutoff the weighted
+    integrand is identically zero to binary64."""
+
+    def f(x):
+        xc = np.minimum(x, _WEIGHT_CUTOFF)
+        return np.where(x > _WEIGHT_CUTOFF, 0.0, g(xc) / np.expm1(2.0 * math.pi * xc))
+
+    return integrate_semiaxis(f, cfg)
+
+
 # --- regularized Binet kernel ------------------------------------------------
 
 # Series coefficients B_{2j}/(2j)!, j = 1..7; with the series cut after B_14
@@ -299,11 +305,7 @@ def legendre_relation_check(t: float, cfg: Optional[QuadConfig] = None) -> float
     is the analytic zero of the identity and is returned for the harness.
     """
     t = _require_positive(t, "t")
-
-    def f(x):
-        return np.sin(x * t) / np.expm1(2.0 * math.pi * x)
-
-    result = integrate_semiaxis(f, cfg)
+    result = _abel_plana(lambda x: np.sin(x * t), cfg)
     closed = 0.5 / math.tanh(0.5 * t) - 1.0 / t
     return abs(2.0 * result.value - closed)
 

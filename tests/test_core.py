@@ -179,6 +179,18 @@ def test_coffey_grid(n, u):
     assert abs(r.value - ref) < _scaled(ref, 1e-13)
 
 
+@pytest.mark.parametrize("u", [1e-15, 1e-20])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_coffey_at_tiny_u(n, u):
+    """The 1/z form needs no u^2 + x^2, which underflows at tiny u and x;
+    the shift identity gamma_n(u) = log^n(u)/u + gamma_n(1 + u) is the
+    reference."""
+    ref = math.log(u) ** n / u + gamma_value(n, 1.0 + u)
+    value = gamma_coffey(n, u).value
+    assert math.isfinite(value)
+    assert abs(value - ref) < 1e-13 * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # route 3: kernel-moment (reciprocal-Gamma-coefficient) family
 
@@ -414,11 +426,21 @@ def test_hurwitz_domain():
     with pytest.raises(ValueError):
         hurwitz_laplace(1.0, 1.0)
     with pytest.raises(ValueError):
-        hurwitz_laplace(-2.0, 1.0)  # representation needs s > -1
+        hurwitz_laplace(-2.0, 1.0)  # kernel not integrable for s <= -1
+    with pytest.raises(ValueError, match="hurwitz_hermite"):
+        hurwitz_laplace(-0.99, 1.0)  # mass below the first node is lost
     with pytest.raises(ValueError):
         hurwitz_laplace(1e-4, 1.0)  # the 1/s split loses all digits near 0
     with pytest.raises(ValueError):
         hurwitz_hermite(2.0, -1.0)
+
+
+@pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
+def test_hurwitz_laplace_at_domain_edge(u):
+    """s = -0.95, the edge of hurwitz_laplace's domain, still matches
+    mpmath.zeta."""
+    ref = float(mp.zeta(-0.95, u))
+    assert abs(hurwitz_laplace(-0.95, u) - ref) < 1e-13 * abs(ref)
 
 
 # ---------------------------------------------------------------------------

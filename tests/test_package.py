@@ -50,3 +50,31 @@ def test_no_unused_imports(path):
     module = "stieltjes" if path.stem == "__init__" else f"stieltjes.{path.stem}"
     read.update(importlib.import_module(module).__all__)
     assert sorted(imported - read) == []
+
+
+def test_private_names_are_read():
+    """Every private module-level function, class or constant is read in its
+    own module or imported by another, so a helper left behind by a
+    refactor fails."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    unread = []
+    for stem, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for other in trees.values():
+            for node in ast.walk(other):
+                if isinstance(node, ast.ImportFrom) and node.level and node.module == stem:
+                    read.update(a.name for a in node.names)
+        private = {name for name in defined if name.startswith("_") and name[1] != "_"}
+        unread += [f"{stem}.{name}" for name in sorted(private - read)]
+    assert unread == []

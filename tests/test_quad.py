@@ -21,6 +21,7 @@ from stieltjes import (
     integrate_semiaxis,
     legendre_relation_check,
 )
+from stieltjes.quad import _abel_plana
 
 import refs
 
@@ -111,10 +112,15 @@ def test_log_weighted_moments():
     assert abs(r2.value - (g * g + refs.ZETA_INT[2])) < 1e-12
 
 
-def test_scalar_only_integrand_fallback():
-    """math-module integrands (scalar in, scalar out) are still accepted."""
-    r = integrate_semiaxis(lambda v: math.exp(-min(v, 700.0)))
-    assert abs(r.value - 1.0) < 1e-12
+def test_integrands_must_be_vectorized():
+    """f is called once on the whole node array: a scalar-only integrand's
+    own exception passes through, and a result of the wrong shape raises
+    IntegrandError naming that shape."""
+    with pytest.raises(ValueError) as excinfo:
+        integrate_semiaxis(lambda v: math.exp(-min(v, 700.0)))
+    assert not isinstance(excinfo.value, IntegrandError)
+    with pytest.raises(IntegrandError, match=r"shape \(\)"):
+        integrate_semiaxis(lambda v: 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +204,17 @@ def test_config_validation():
             [True] * 3,
             3,
         ),
+        (
+            [
+                lambda x: x * np.log(1.0 + x * x) / (1.0 + x * x),
+                lambda x: np.arctan2(x, 1.0) / (1.0 + x * x),
+            ],
+            lambda g: _abel_plana(g, None),
+            [True] * 2,
+            1,
+        ),
     ],
-    ids=["semiaxis_log_moments", "finite_starved", "finite_staggered"],
+    ids=["semiaxis_log_moments", "finite_starved", "finite_staggered", "abel_plana_hermite1"],
 )
 def test_stacked_rows_match_scalar_calls(rows, integrate, row_converged, stop_levels):
     """A (k, len(x)) integrand is one pass whose rows equal k separate
