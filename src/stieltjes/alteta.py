@@ -26,7 +26,6 @@ agreement itself is the test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
 from typing import Tuple
 
@@ -34,7 +33,6 @@ from .core import gamma_value, hurwitz_hermite
 from .specfun import _require_finite, _require_order, _require_positive, digamma
 
 __all__ = [
-    "AltZetaRequest",
     "alt_zeta",
     "alt_zeta_hasse",
     "alt_deriv_at_1",
@@ -47,20 +45,8 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _MAX_DERIV = 6
-
-
-@dataclass(frozen=True)
-class AltZetaRequest:
-    """A validated (s, x, derivative order n) triple."""
-
-    s: float
-    x: float
-    n: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", _require_finite(self.s, "s"))
-        object.__setattr__(self, "x", _require_positive(self.x, "x"))
-        object.__setattr__(self, "n", _require_order(self.n, "derivative order", 0, _MAX_DERIV))
+# alt_zeta_hasse stops once two damped terms in a row fall below this.
+_TERM_TOL = 1e-15
 
 
 def alt_zeta(s: float, x: float) -> float:
@@ -73,21 +59,14 @@ def alt_zeta(s: float, x: float) -> float:
     cancel and the limit (1/2)[psi((1+x)/2) - psi(x/2)] is returned
     (log 2 at x = 1).
     """
-    req = AltZetaRequest(s, x)
-    s, x = req.s, req.x
+    s = _require_finite(s, "s")
+    x = _require_positive(x, "x")
     if s == 1.0:
         return 0.5 * (digamma((1.0 + x) / 2.0) - digamma(x / 2.0))
     return 2.0 ** (-s) * (hurwitz_hermite(s, x / 2.0) - hurwitz_hermite(s, (1.0 + x) / 2.0))
 
 
-def alt_zeta_hasse(
-    s: float,
-    x: float,
-    n: int = 0,
-    *,
-    tol: float = 1e-15,
-    i_max: int = 120,
-) -> float:
+def alt_zeta_hasse(s: float, x: float, n: int = 0, *, i_max: int = 120) -> float:
     """The damped binomial double sum
 
         sum_{i>=0} 2^{-(i+1)} sum_{j=0}^{i} C(i,j)(-1)^j log^n(x+j)/(x+j)^s,
@@ -97,12 +76,12 @@ def alt_zeta_hasse(
     sums are iterated forward differences of a_j = log^n(x+j)/(x+j)^s,
     updated in place; the geometric 2^{-(i+1)} damping keeps binary64
     rounding noise near 1e-14 out to i ~ 100, so no extended precision is
-    needed.  Truncates once the damped term magnitude stays below ``tol``
+    needed.  Truncates once the damped term magnitude stays below 1e-15
     (two consecutive terms, after a warm-up of ten), or at ``i_max``.
     """
-    req = AltZetaRequest(s, x, n)
-    s, x, n = req.s, req.x, req.n
-    tol = _require_positive(tol, "tol")
+    s = _require_finite(s, "s")
+    x = _require_positive(x, "x")
+    n = _require_order(n, "derivative order", 0, _MAX_DERIV)
     i_max = _require_order(i_max, "i_max")
     table = [math.log(x + j) ** n / (x + j) ** s for j in range(i_max + 1)]
     total = 0.0
@@ -111,7 +90,7 @@ def alt_zeta_hasse(
     for i in range(i_max + 1):
         term = weight * table[0]
         total += term
-        if abs(term) < tol:
+        if abs(term) < _TERM_TOL:
             small_streak += 1
             if i >= 10 and small_streak >= 2:
                 break

@@ -29,8 +29,8 @@ from . import __version__
 from .bellpoly import _MAX_DERIVATIVE, gamma_derivative_at_one
 from .core import (
     _LIMIT_MIN_TERMS,
+    _require_route,
     ENVELOPES,
-    GammaRequest,
     Method,
     MethodResult,
     brede_poly,
@@ -165,7 +165,7 @@ def _cmd_gamma(args) -> int:
     else:
         selected = [Method(args.method)]
     for method in selected:
-        GammaRequest(n, u, method)
+        _require_route(method, n, u)
     if Method.LIMIT in selected:
         _require_order(args.limit_terms, "--limit-terms", _LIMIT_MIN_TERMS)
     routes = {
@@ -224,7 +224,7 @@ def _cmd_table(args) -> int:
     cfg = _resolve_cfg(args, tol)
     # The whole range is checked before the header, so a bad bound prints nothing.
     if args.kind == "gamma_n":
-        GammaRequest(args.max_n, args.argument, Method.HASSE)
+        _require_route(Method.HASSE, args.max_n, args.argument)
     elif args.kind == "gamma_derivs":
         _require_order(args.max_m, "--max-m", 0, _MAX_DERIVATIVE)
     else:

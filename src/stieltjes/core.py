@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Tuple
 import mpmath as mp
 import numpy as np
 
-from .bellpoly import _MAX_DERIVATIVE, gamma_derivative_at_one, inv_gamma_derivative_at_zero
+from .bellpoly import _MAX_DERIVATIVE, _derivative_tables, gamma_derivative_at_one
 from .quad import (
     QuadConfig,
     QuadResult,
@@ -55,7 +55,6 @@ __all__ = [
     "ENVELOPES",
     "Method",
     "MethodResult",
-    "GammaRequest",
     "RealPolynomial",
     "gamma_hasse",
     "gamma_coffey",
@@ -149,25 +148,18 @@ ENVELOPES = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
-class GammaRequest:
-    """A validated (order n, argument u) pair for the gamma_n(u) ops; with a
-    ``method``, (n, u) must also lie in that route's entry of ENVELOPES."""
-
-    n: int
-    u: float
-    method: Optional[Method] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _require_order(self.n, "order n"))
-        object.__setattr__(self, "u", _require_positive(self.u, "argument u"))
-        if self.method is not None and not ENVELOPES[self.method].admits(self.n, self.u):
-            max_n, u = ENVELOPES[self.method]
-            at = "" if u is None else f" at u = {u:g}"
-            raise ValueError(
-                f"{Method(self.method).value} is defined for n <= {max_n}{at}, "
-                f"got n = {self.n}, u = {self.u:.15g}"
-            )
+def _require_route(method: Method, n: int, u: float) -> Tuple[int, float]:
+    """(n, u) as an order and a positive argument that lie in the route's
+    entry of ENVELOPES."""
+    n = _require_order(n, "order n")
+    u = _require_positive(u, "argument u")
+    if not ENVELOPES[method].admits(n, u):
+        max_n, at_u = ENVELOPES[method]
+        at = "" if at_u is None else f" at u = {at_u:g}"
+        raise ValueError(
+            f"{method.value} is defined for n <= {max_n}{at}, got n = {n}, u = {u:.15g}"
+        )
+    return n, u
 
 
 @dataclass(frozen=True)
@@ -337,13 +329,11 @@ def gamma_hasse(
     result is therefore independent of ``j_max`` to roundoff; ``j_max``
     only moves work between the series head and the tail integrals.
     """
-    req = GammaRequest(n, u, Method.HASSE)
+    n, u = _require_route(Method.HASSE, n, u)
     j_max = _require_order(j_max, "j_max")
-    head, head_term = _hasse_head(req.n, req.u, j_max)
-    tail, tail_estimate, tail_term, r = _moment_convolution(
-        _hasse_tail_kernel(j_max), req.n, req.u, cfg
-    )
-    value = -head / (req.n + 1) + tail
+    head, head_term = _hasse_head(n, u, j_max)
+    tail, tail_estimate, tail_term, r = _moment_convolution(_hasse_tail_kernel(j_max), n, u, cfg)
+    value = -head / (n + 1) + tail
     max_term = max(abs(value), head_term, tail_term)
     return _result(
         Method.HASSE, value, tail_estimate, max_term, j_max + 1 + r.evaluations, r.converged, 4e-16
@@ -370,13 +360,12 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
     analytic form is folded to -2 Im[L/z] so the whole computation is real.
     Dividing by z never forms u^2 + x^2, which underflows for tiny u and x.
     """
-    req = GammaRequest(n, u, Method.COFFEY)
-    u = req.u
-    prefactor = _log_power_prefactor(req.n, u)
+    n, u = _require_route(Method.COFFEY, n, u)
+    prefactor = _log_power_prefactor(n, u)
 
     def g(x):
         z = u + 1j * x
-        return -2.0 * np.imag(np.log(z) ** req.n / z)
+        return -2.0 * np.imag(np.log(z) ** n / z)
 
     r = _abel_plana(g, cfg)
     max_term = max(abs(prefactor), abs(r.value))
@@ -405,7 +394,7 @@ def gamma1_hermite(u: float, cfg: Optional[QuadConfig] = None) -> MethodResult:
 
     r = _abel_plana(g, cfg)
     (log_part, atan_part), (log_estimate, atan_estimate) = r.value, r.error_estimate
-    prefactor = math.log(u) / (2.0 * u) - math.log(u) ** 2 / 2.0
+    prefactor = _log_power_prefactor(1, u)
     return _result(
         Method.HERMITE1,
         prefactor + log_part - 2.0 * u * atan_part,
@@ -419,25 +408,18 @@ def gamma1_hermite(u: float, cfg: Optional[QuadConfig] = None) -> MethodResult:
 # --- Bell-family representation ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def bell_family_coefficients(k_max: int) -> Tuple[float, ...]:
     """c_k = d^k/ds^k [1/Gamma(s)] at s = 1, for k = 0..k_max.
 
     These are the complete Bell polynomial values Y_k at the arguments
     -psi(1), -psi'(1), ..., -psi^{(k-1)}(1); first values 1, gamma,
-    gamma^2 - zeta(2).  Computed once per process and cached immutably.
+    gamma^2 - zeta(2).  A slice of the process-wide table of
+    :func:`stieltjes.bellpoly.inv_gamma_derivative_at_zero`.
     """
-    k_max = _require_order(k_max, "k_max", 0, _MAX_DERIVATIVE)
-    return tuple(inv_gamma_derivative_at_zero(k) for k in range(k_max + 1))
+    return _derivative_tables()[1][: _require_order(k_max, "k_max", 0, _MAX_DERIVATIVE) + 1]
 
 
-def gamma_bell_family(
-    n: int,
-    u: float = 1.0,
-    *,
-    kernel: str = "half",
-    cfg: Optional[QuadConfig] = None,
-) -> MethodResult:
+def gamma_bell_family(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> MethodResult:
     """gamma_n(u) from Binet-kernel integrals weighted by the c_k,
 
         gamma_n(u) = log^n(u)/(2u) - log^{n+1}(u)/(n+1)
@@ -445,24 +427,13 @@ def gamma_bell_family(
                        int_0^inf e^{-u v} log^{n-k}(v) B(v) dv,
 
     with B(v) = 1/(e^v - 1) - 1/v + 1/2 and c_k from
-    :func:`bell_family_coefficients`.
-
-    ``kernel="bare"`` (u = 1, n >= 1 only) drops the +1/2 inside the
-    kernel; the two kernels agree there because the reciprocal-gamma
-    derivative coefficients convolve against Gamma-derivatives to zero for
-    n >= 1 (the negation identity of the Bell polynomials).
+    :func:`bell_family_coefficients`.  At u = 1 and n >= 1 the kernel
+    B(v) - 1/2 gives the same value, since the c_k convolve against the
+    Gamma-derivatives (the moments of e^{-v}) to zero there.
     """
-    req = GammaRequest(n, u, Method.BELL_FAMILY)
-    u = req.u
-    if kernel not in ("half", "bare"):
-        raise ValueError(f"kernel must be 'half' or 'bare', got {kernel!r}")
-    if kernel == "bare" and (u != 1.0 or req.n < 1):
-        raise ValueError("kernel='bare' is only valid at u = 1 with n >= 1")
-    shift = 0.0 if kernel == "half" else -0.5
-    prefactor = _log_power_prefactor(req.n, u)
-    total, estimate, max_term, r = _moment_convolution(
-        lambda v: binet_bracket(v) + shift, req.n, u, cfg
-    )
+    n, u = _require_route(Method.BELL_FAMILY, n, u)
+    prefactor = _log_power_prefactor(n, u)
+    total, estimate, max_term, r = _moment_convolution(binet_bracket, n, u, cfg)
     max_term = max(abs(prefactor), max_term)
     return _result(
         Method.BELL_FAMILY, prefactor + total, estimate, max_term, r.evaluations, r.converged
@@ -506,7 +477,7 @@ def gamma_brede(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
     with :func:`gamma_bell_family` checks the order of summation; it is not
     an independent vote.
     """
-    poly = brede_poly(GammaRequest(n, 1.0, Method.BREDE).n)
+    poly = brede_poly(_require_route(Method.BREDE, n, 1.0)[0])
 
     def f(v):
         return poly(-np.log(v)) * np.exp(-v) * (binet_bracket(v) + 0.5)
@@ -528,7 +499,7 @@ def gamma_limit(n: int, r: int) -> MethodResult:
     The error estimate is |value(r) - value(r/2)|, an honest upper-bound
     proxy for the remaining truncation error.
     """
-    n = GammaRequest(n, 1.0, Method.LIMIT).n
+    n = _require_route(Method.LIMIT, n, 1.0)[0]
     r = _require_order(r, "r", _LIMIT_MIN_TERMS)
     m = np.arange(1, r + 1, dtype=float)
     lg = np.log(m)
@@ -574,11 +545,10 @@ def inversion_sum(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> T
     """
     n = _require_order(n, "n", 0, 8)
     u = _require_positive(u, "u")
-    lg = math.log(u)
     sum_side = math.fsum(
         comb(n, k)
         * (-1.0) ** k
-        * (gamma_value(k, u) - lg**k / (2.0 * u) + lg ** (k + 1) / (k + 1))
+        * (gamma_value(k, u) - _log_power_prefactor(k, u))
         * gamma_derivative_at_one(n - k)
         for k in range(n + 1)
     )
@@ -679,14 +649,19 @@ def hurwitz_hermite(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
 
 
 def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> float:
-    """zeta(s, u) by the Laplace/Binet-kernel representation, s in [-0.95, inf):
+    """zeta(s, u) by the Laplace/Binet-kernel representation, s in [-0.95, 106]:
 
         zeta(s, u) = u^{-s}/2 + u^{1-s}/(s-1)
-                     + (1/Gamma(s)) int_0^inf e^{-u v} v^{s-1} B(v) dv.
+                     + (1/Gamma(s)) int_0^inf e^{-u v} v^{s-1} B(v) dv,
 
-    Near s = -1 the kernel ~ v^s/12 puts mass (1e-300)^(s+1)/(12(s+1)) below
-    the smallest exp-sinh node (~1e-300), which the quadrature loses, so
-    s + 1 < 0.05 is rejected in favor of :func:`hurwitz_hermite`; so is
+    integrated in w = u v as u^{-s-1} int_0^inf e^{-w} w^s [B(w/u)/(w/u)] dw,
+    whose size does not shrink with u (the v-form is ~u^{-s}, below the
+    engine's absolute convergence test at large u).  Beyond w = 800 the
+    e^{-w} factor has underflowed past anything w^s can recover, so those
+    nodes are masked; 800^s overflows past s = 106, which is rejected.
+    Near s = -1 the kernel ~ w^s/12 puts mass (1e-300)^(s+1)/(12(s+1))
+    below the smallest exp-sinh node (~1e-300), which the quadrature loses,
+    so s + 1 < 0.05 is rejected in favor of :func:`hurwitz_hermite`; so is
     |s| < 1e-3, where the 1/Gamma(s) factor vanishes and the representation
     degenerates.  s = 1 (pole) is a domain error too.
     """
@@ -703,19 +678,18 @@ def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
         raise ValueError(
             "s within 1e-3 of 0 degenerates (1/Gamma(s) -> 0); use hurwitz_hermite"
         )
+    if s > 106.0:
+        raise ValueError(f"s > 106 overflows w^s on the kept nodes, got s = {s!r}")
 
-    # v^{s-1} B(v) = v^s * [B(v)/v], finite down to the smallest node.
-    # Beyond v = 800/u the e^{-u v} factor has underflowed past anything v^s
-    # can recover, so those nodes are masked before v**s can overflow.
-    cut = 800.0 / u
+    def f(w):
+        live = w <= 800.0
+        wl = np.where(live, w, 1.0)
+        return np.where(live, np.exp(-wl) * wl**s * binet_bracket_over_v(wl / u), 0.0)
 
-    def f(v):
-        live = v <= cut
-        vl = np.where(live, v, 1.0)
-        return np.where(live, np.exp(-u * vl) * vl**s * binet_bracket_over_v(vl), 0.0)
-
-    r = integrate_semiaxis(f, cfg)
-    return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + float(mp.rgamma(s)) * r.value
+    # rgamma(s) times the integral is O(s); u^{-s-1} comes last so that no
+    # partial product underflows.
+    integral = float(mp.rgamma(s)) * integrate_semiaxis(f, cfg).value * u ** (-s - 1.0)
+    return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + integral
 
 
 # --- Maclaurin delta constants ----------------------------------------------

@@ -54,6 +54,7 @@ from .bellpoly import (
 )
 from .core import (
     FLAG_NO_CONVERGENCE,
+    _moment_convolution,
     MethodResult,
     a_coefficient,
     barnes_g_log,
@@ -341,10 +342,11 @@ def suite_stieltjes(cfg: Optional[QuadConfig] = None) -> Iterator[CheckRecord]:
             )
     for n, tol in ((0, 1e-15), (1, 1e-5)):
         yield _check("stieltjes.delta", {"n": n}, *delta_n(n), tol, {"m": 10**6})
+    # The Bell family with kernel B - 1/2 (its prefactor is 0 at u = 1, n >= 1).
     for n in (1, 2, 3):
-        bare = gamma_bell_family(n, 1.0, kernel="bare", cfg=cfg)
-        half = gamma_bell_family(n, 1.0, kernel="half", cfg=cfg)
-        yield _check("stieltjes.bare_kernel", {"n": n}, bare, half, 1e-10)
+        bare, _, _, r = _moment_convolution(lambda v: binet_bracket(v) - 0.5, n, 1.0, cfg)
+        half = gamma_bell_family(n, 1.0, cfg=cfg)
+        yield _check("stieltjes.bare_kernel", {"n": n}, bare, half, 1e-10, runs=(r,))
     for u in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
         yield _check("stieltjes.digamma", {"u": u}, gamma_value(0, u), -digamma(u), 1e-10)
     for k in range(5):
@@ -406,8 +408,9 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> Iterator[CheckRecord]:
         )
     quarter = integrate_semiaxis(lambda v: -np.expm1(-v) / v * binet_bracket_over_v(v), cfg)
     yield _check("identities.quarter_integral", {}, quarter, 0.25, 1e-10)
-    for n in range(7):
-        yield _check("identities.inversion", {"n": n}, *inversion_sum(n, 1.0, cfg), 1e-7)
+    inversions = [inversion_sum(n, 1.0, cfg) for n in range(7)]
+    for n, sides in enumerate(inversions):
+        yield _check("identities.inversion", {"n": n}, *sides, 1e-7)
     closed_forms = {
         0: g - 0.5,
         1: -g * g - gamma_value(1, 1.0) + 0.5 * g,
@@ -416,8 +419,7 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> Iterator[CheckRecord]:
         + gamma_value(2, 1.0),
     }
     for n, closed in closed_forms.items():
-        sum_side = inversion_sum(n, 1.0, cfg)[0]
-        yield _check("identities.inversion_closed", {"n": n}, sum_side, closed, 1e-9)
+        yield _check("identities.inversion_closed", {"n": n}, inversions[n][0], closed, 1e-9)
     # Sign structure of I_n = int log^n(v) e^{-v} B(v) dv: the (1, inf) piece
     # is positive for every n and dominates through n = 4; from n = 5 the
     # (0, 1) piece (negative for odd n, since log^n < 0 there while the

@@ -12,7 +12,6 @@ import math
 import pytest
 
 from stieltjes import (
-    AltZetaRequest,
     alt_deriv_at_1,
     alt_zeta,
     alt_zeta_hasse,
@@ -33,15 +32,15 @@ import refs
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        AltZetaRequest(2.0, 0.0)
+        alt_zeta(2.0, 0.0)
     with pytest.raises(ValueError):
-        AltZetaRequest(2.0, -1.0)
+        alt_zeta(2.0, -1.0)
     with pytest.raises(ValueError):
-        AltZetaRequest(math.inf, 1.0)
+        alt_zeta(math.inf, 1.0)
     with pytest.raises(ValueError):
-        AltZetaRequest(2.0, 1.0, n=7)
+        alt_zeta_hasse(2.0, 1.0, n=7)
     with pytest.raises(ValueError):
-        AltZetaRequest(2.0, 1.0, n=-1)
+        alt_zeta_hasse(2.0, 1.0, n=-1)
 
 
 # ---------------------------------------------------------------------------

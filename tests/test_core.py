@@ -17,7 +17,6 @@ import pytest
 from stieltjes import (
     ENVELOPES,
     FLAG_NO_CONVERGENCE,
-    GammaRequest,
     Method,
     MethodResult,
     QuadConfig,
@@ -42,7 +41,8 @@ from stieltjes import (
     zeta_prime0,
     zeta_second0,
 )
-from stieltjes.core import _hasse_head
+from stieltjes.core import _hasse_head, _moment_convolution, _require_route
+from stieltjes.quad import binet_bracket
 
 import refs
 
@@ -58,7 +58,7 @@ def _scaled(ref, rel):
 def test_request_validation():
     for n, u in [(-1, 1.0), (1.5, 1.0), (0, 0.0), (0, -2.0), (0, math.inf), (0, math.nan)]:
         with pytest.raises(ValueError):
-            GammaRequest(n, u)
+            _require_route(Method.COFFEY, n, u)
 
 
 def test_envelopes_bound_each_route():
@@ -67,13 +67,13 @@ def test_envelopes_bound_each_route():
     for method, envelope in ENVELOPES.items():
         u = envelope.u or 2.0
         top = 40 if envelope.max_n is None else envelope.max_n
-        assert GammaRequest(top, u, method).n == top
+        assert _require_route(method, top, u) == (top, u)
         if envelope.max_n is not None:
             with pytest.raises(ValueError, match=f"n <= {envelope.max_n}"):
-                GammaRequest(top + 1, u, method)
+                _require_route(method, top + 1, u)
         if envelope.u is not None:
             with pytest.raises(ValueError, match="at u = 1"):
-                GammaRequest(0, 2.0, method)
+                _require_route(method, 0, 2.0)
 
 
 @pytest.mark.parametrize("u", [0.1, 1.0, 10.0])
@@ -205,18 +205,11 @@ def test_bell_family_grid(n, u):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bell_family_bare_kernel(n):
+    """At u = 1 and n >= 1 the Bell family's prefactor is 0 and the kernel
+    B - 1/2 gives gamma_n as well."""
     ref = refs.GAMMA_AT_1[n]
-    r = gamma_bell_family(n, 1.0, kernel="bare")
-    assert abs(r.value - ref) < _scaled(ref, 1e-12)
-
-
-def test_bare_kernel_domain():
-    with pytest.raises(ValueError):
-        gamma_bell_family(0, 1.0, kernel="bare")  # n = 0 diverges bare
-    with pytest.raises(ValueError):
-        gamma_bell_family(1, 2.0, kernel="bare")  # bare form is u = 1 only
-    with pytest.raises(ValueError):
-        gamma_bell_family(1, 1.0, kernel="other")
+    value = _moment_convolution(lambda v: binet_bracket(v) - 0.5, n, 1.0, None)[0]
+    assert abs(value - ref) < _scaled(ref, 1e-12)
 
 
 def test_family_coefficients_match_reciprocal_gamma_derivatives():
@@ -431,16 +424,30 @@ def test_hurwitz_domain():
         hurwitz_laplace(-0.99, 1.0)  # mass below the first node is lost
     with pytest.raises(ValueError):
         hurwitz_laplace(1e-4, 1.0)  # the 1/s split loses all digits near 0
+    with pytest.raises(ValueError, match="s > 106"):
+        hurwitz_laplace(107.0, 1.0)  # w^s overflows on the kept nodes
     with pytest.raises(ValueError):
         hurwitz_hermite(2.0, -1.0)
 
 
-@pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
-def test_hurwitz_laplace_at_domain_edge(u):
-    """s = -0.95, the edge of hurwitz_laplace's domain, still matches
-    mpmath.zeta."""
-    ref = float(mp.zeta(-0.95, u))
-    assert abs(hurwitz_laplace(-0.95, u) - ref) < 1e-13 * abs(ref)
+# s = -0.95, the lower edge; large u, where the integral in v = w/u is tiny
+# against an absolute convergence test; large s at small u, where v^s
+# overflows before e^{-u v} has underflowed; s = 106, the upper edge.
+LAPLACE_EDGES = [(-0.95, 0.5), (-0.95, 1.0), (-0.95, 2.0)] + [
+    (10.0, 100.0), (30.0, 100.0), (100.0, 100.0), (3.0, 1e3), (2.0, 1e4),
+    (100.0, 0.5), (100.0, 0.01), (60.0, 0.001), (106.0, 1.0),
+]
+LAPLACE_EDGE_IDS = [str(u) if s == -0.95 else f"s={s:g},u={u:g}" for s, u in LAPLACE_EDGES]
+
+
+@pytest.mark.parametrize("s,u", LAPLACE_EDGES, ids=LAPLACE_EDGE_IDS)
+def test_hurwitz_laplace_at_domain_edge(s, u):
+    """hurwitz_laplace matches mpmath.zeta at the edges of its domain, in
+    relative terms.  mpmath loses digits at large s and u (2.5e-11 at
+    (30, 100) with 40 digits), so the reference runs at 80."""
+    with mp.workdps(80):
+        ref = float(mp.zeta(s, u))
+    assert abs(hurwitz_laplace(s, u) - ref) < 1e-14 * abs(ref)
 
 
 # ---------------------------------------------------------------------------

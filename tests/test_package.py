@@ -1,15 +1,19 @@
 """The package namespace re-exports each module's public names, unchanged,
-and no module imports a name it never reads."""
+no module imports a name it never reads, and the benchmark's view of the
+library still resolves."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
 import stieltjes
+from stieltjes import QuadConfig
 
 SOURCES = sorted(Path(stieltjes.__file__).parent.glob("*.py"))
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 MODULES = ("bellpoly", "core", "alteta", "quad", "specfun", "validate")
 
@@ -78,3 +82,23 @@ def test_private_names_are_read():
         private = {name for name in defined if name.startswith("_") and name[1] != "_"}
         unread += [f"{stem}.{name}" for name in sorted(private - read)]
     assert unread == []
+
+
+def test_benchmark_names_and_call_forms_resolve(monkeypatch):
+    """Every name the benchmark's tracer wraps exists, and the worker's call
+    form of each route runs, with and without a QuadConfig.  The benchmark
+    files are only read."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        tracer = importlib.import_module("tracer")
+        worker = importlib.import_module("worker")
+        for module_name, names in tracer._targets().items():
+            module = importlib.import_module(module_name)
+            assert [name for name in names if not callable(getattr(module, name, None))] == []
+        for route in worker._FUNCTIONS:
+            for cfg in (None, QuadConfig(target_tol=1e-8)):
+                assert worker._call({"route": route, "n": 3, "u": 1.0}, cfg).converged, route
+    finally:
+        sys.modules.pop("worker", None)
+        sys.modules.pop("tracer", None)
