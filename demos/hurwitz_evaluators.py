@@ -12,9 +12,9 @@ I_n, whose sign pattern is more interesting than folklore suggests.
 import numpy as np
 
 from stieltjes import (
-    a_coefficient,
     binet_bracket,
     binet_bracket_over_v,
+    gamma_derivative_at_one,
     hurwitz_hermite,
     hurwitz_laplace,
     hurwitz_zeta_series,
@@ -71,9 +71,11 @@ for n in (0, 2, 5):
     sum_side, integral_side = inversion_sum(n, 1.0)
     print(f"n={n}: sum {sum_side: .15g}   integral {integral_side: .15g}")
 
-# %% The companion coefficients a_n = I_n + Gamma^{(n)}(1)/2, both ways
+# %% The companion coefficients a_n = I_n + Gamma^{(n)}(1)/2, both ways:
+# each side of the inversion identity, shifted by Gamma^{(n)}(1)/2
 
 print()
 for n in range(4):
-    integral, binomial = a_coefficient(n)
-    print(f"a_{n}: integral {integral: .15g}   binomial {binomial: .15g}")
+    sum_side, integral_side = inversion_sum(n, 1.0)
+    half = 0.5 * gamma_derivative_at_one(n)
+    print(f"a_{n}: integral {integral_side + half: .15g}   binomial {sum_side + half: .15g}")

@@ -58,13 +58,11 @@ __all__ = [
     "RealPolynomial",
     "gamma_hasse",
     "gamma_coffey",
-    "gamma1_hermite",
     "bell_family_coefficients",
     "gamma_bell_family",
     "brede_poly",
     "gamma_brede",
     "gamma_limit",
-    "a_coefficient",
     "inversion_sum",
     "i_n_integral",
     "zeta_prime0",
@@ -79,6 +77,10 @@ __all__ = [
 _CANCELLATION_RATIO = 1e8
 # gamma_limit's smallest partial-sum length r (its estimate compares r with r/2).
 _LIMIT_MIN_TERMS = 10
+# gamma_hasse's head depth J; its value does not depend on J beyond roundoff.
+_J_MAX = 120
+# log of the largest binary64: the Hurwitz evaluators reject larger u^{-s}.
+_LOG_MAX = math.log(np.finfo(float).max)
 
 FLAG_CANCELLATION = "cancellation"
 FLAG_NO_CONVERGENCE = "no_convergence"
@@ -92,7 +94,6 @@ class Method(str, Enum):
     BELL_FAMILY = "bell"
     BREDE = "brede"
     LIMIT = "limit"
-    HERMITE1 = "hermite1"
 
 
 @dataclass(frozen=True)
@@ -303,13 +304,7 @@ def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
     return (-1.0) ** n * total, estimate, max_term, r
 
 
-def gamma_hasse(
-    n: int,
-    u: float = 1.0,
-    *,
-    j_max: int = 120,
-    cfg: Optional[QuadConfig] = None,
-) -> MethodResult:
+def gamma_hasse(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> MethodResult:
     """gamma_n(u) from the globally convergent binomial double series
 
         gamma_n(u) = -1/(n+1) sum_{j>=0} 1/(j+1)
@@ -317,26 +312,25 @@ def gamma_hasse(
 
     The outer terms decay only like ~1/(j^{u+1} log j), far too slowly to
     truncate at any affordable j, so the series is split exactly: terms
-    j <= j_max are summed as written (iterated forward differences in exact
-    fixed-point integers), and the infinite remainder is resummed in closed
-    form through its integral representation
+    j <= J = _J_MAX are summed as written (iterated forward differences in
+    exact fixed-point integers), and the infinite remainder is resummed in
+    closed form through its integral representation
 
         sum_{j>J} (...)  =  -(-1)^{n+1} sum_{m=0}^{n} C(n,m) c_m
                             int_0^inf log^{n-m}(t) e^{-u t} rho_J(t)/t dt,
 
     where rho_J is the truncated-geometric remainder density (see
     ``_hasse_tail_kernel``) and c_m = d^m/ds^m [1/Gamma(1+s)] at 0.  The
-    result is therefore independent of ``j_max`` to roundoff; ``j_max``
-    only moves work between the series head and the tail integrals.
+    result is therefore independent of J to roundoff; J only moves work
+    between the series head and the tail integrals.
     """
     n, u = _require_route(Method.HASSE, n, u)
-    j_max = _require_order(j_max, "j_max")
-    head, head_term = _hasse_head(n, u, j_max)
-    tail, tail_estimate, tail_term, r = _moment_convolution(_hasse_tail_kernel(j_max), n, u, cfg)
+    head, head_term = _hasse_head(n, u, _J_MAX)
+    tail, tail_estimate, tail_term, r = _moment_convolution(_hasse_tail_kernel(_J_MAX), n, u, cfg)
     value = -head / (n + 1) + tail
     max_term = max(abs(value), head_term, tail_term)
     return _result(
-        Method.HASSE, value, tail_estimate, max_term, j_max + 1 + r.evaluations, r.converged, 4e-16
+        Method.HASSE, value, tail_estimate, max_term, _J_MAX + 1 + r.evaluations, r.converged, 4e-16
     )
 
 
@@ -371,37 +365,6 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
     max_term = max(abs(prefactor), abs(r.value))
     return _result(
         Method.COFFEY, prefactor + r.value, r.error_estimate, max_term, r.evaluations, r.converged
-    )
-
-
-def gamma1_hermite(u: float, cfg: Optional[QuadConfig] = None) -> MethodResult:
-    """gamma_1(u) from the pair of real Hermite-type integrals
-
-        gamma_1(u) = log(u)/(2u) - log^2(u)/2
-                     + int_0^inf x log(u^2 + x^2) / [(u^2+x^2)(e^{2 pi x}-1)] dx
-                     - 2u int_0^inf atan(x/u) / [(u^2+x^2)(e^{2 pi x}-1)] dx.
-
-    This is Coffey's integrand at n = 1 split into two real integrals, since
-    -2 Im[(u - ix) log(u + ix)] = x log(u^2 + x^2) - 2u atan(x/u); agreement
-    with :func:`gamma_coffey` is not an independent vote.  The two integrals
-    are the rows of one stacked pass.
-    """
-    u = _require_positive(u, "u")
-
-    def g(x):
-        r2 = u * u + x * x
-        return np.array([x * np.log(r2), np.arctan2(x, u)]) / r2
-
-    r = _abel_plana(g, cfg)
-    (log_part, atan_part), (log_estimate, atan_estimate) = r.value, r.error_estimate
-    prefactor = _log_power_prefactor(1, u)
-    return _result(
-        Method.HERMITE1,
-        prefactor + log_part - 2.0 * u * atan_part,
-        log_estimate + 2.0 * u * atan_estimate,
-        max(abs(prefactor), abs(log_part), abs(2.0 * u * atan_part)),
-        r.evaluations,
-        r.converged,
     )
 
 
@@ -516,23 +479,6 @@ def gamma_limit(n: int, r: int) -> MethodResult:
 # --- inversion / positivity machinery ---------------------------------------
 
 
-def a_coefficient(n: int, cfg: Optional[QuadConfig] = None) -> Tuple[float, float]:
-    """The Stieltjes expansion coefficients a_n, both ways:
-
-        integral form:  int_0^inf e^{-x} [1/(1 - e^{-x}) - 1/x] log^n(x) dx,
-        binomial form:  sum_{j=0}^{n} C(n,j) (-1)^j gamma_j Gamma^{(n-j)}(1).
-
-    Returned as (integral form, binomial form); their equality is the test.
-    """
-    n = _require_order(n, "n", 0, 8)
-    integral = _log_moments(lambda v: binet_bracket(v) + 0.5, 1.0, (n,), cfg).value[0]
-    binomial = math.fsum(
-        comb(n, j) * (-1.0) ** j * gamma_value(j, 1.0) * gamma_derivative_at_one(n - j)
-        for j in range(n + 1)
-    )
-    return integral, binomial
-
-
 def inversion_sum(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Tuple[float, float]:
     """Both sides of the inversion identity expressing the pure log-power
     Binet integrals through gamma-values:
@@ -630,22 +576,46 @@ def barnes_g_log(t: float, cfg: Optional[QuadConfig] = None) -> float:
 # --- Hurwitz zeta continuations ---------------------------------------------
 
 
-def hurwitz_hermite(s: float, u: float, cfg: Optional[QuadConfig] = None) -> float:
-    """zeta(s, u) by Hermite's integral, valid for every real s != 1:
-
-        zeta(s, u) = u^{-s}/2 + u^{1-s}/(s-1)
-                     + 2 int_0^inf sin(s atan(x/u))
-                       / [(u^2 + x^2)^{s/2} (e^{2 pi x} - 1)] dx.
-
-    Reaches the analytic continuation: s = 0 gives -1/2 - ... 1/2 - 1 = -1/2
-    (the integrand vanishes identically) and s = -1 gives -1/12.
-    """
-    s = _require_finite(s, "s")
-    u = _require_positive(u, "u")
+def _require_hurwitz(s: float, u: float) -> Tuple[float, float]:
+    """(s, u) with s finite and not 1, u > 0, and u^{-s}, u^{1-s} in binary64."""
+    s, u = _require_finite(s, "s"), _require_positive(u, "u")
     if s == 1.0:
         raise ValueError("s = 1 is the pole of zeta(s, u)")
-    r = _abel_plana(lambda x: np.sin(s * np.arctan2(x, u)) / (u * u + x * x) ** (0.5 * s), cfg)
-    return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + 2.0 * r.value
+    lg = math.log(u)
+    if -s * lg + max(lg, 0.0) > _LOG_MAX:
+        raise ValueError(f"u^-s or u^(1-s) overflows binary64 at s = {s!r}, u = {u!r}")
+    return s, u
+
+
+def _hurwitz(s: float, u: float, integral) -> float:
+    """zeta(s, u), ``integral`` run at u >= 1 only: zeta(s, u) = u^{-s} + zeta(s, u + 1) below 1."""
+    if u < 1.0:
+        return u ** (-s) + _hurwitz(s, u + 1.0, integral)
+    return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + integral(u)
+
+
+def hurwitz_hermite(s: float, u: float, cfg: Optional[QuadConfig] = None) -> float:
+    """zeta(s, u) by Hermite's integral, for real s != 1:
+
+        zeta(s, u) = u^{-s}/2 + u^{1-s}/(s-1)
+                     + 2 u^{-s} int_0^inf sin(s atan(x/u))
+                       / [(1 + (x/u)^2)^{s/2} (e^{2 pi x} - 1)] dx,
+
+    with u^{-s} factored out of the integral so that its size does not fall
+    below the engine's absolute convergence test at large s.  u < 1 goes by
+    the shift zeta(s, u) = u^{-s} + zeta(s, u + 1); (s, u) where u^{-s} or
+    u^{1-s} overflows binary64 is rejected.  Below s ~ -10 the integral
+    cancels against the boundary terms and digits are lost.
+    """
+    s, u = _require_hurwitz(s, u)
+
+    def integral(v):
+        r = _abel_plana(
+            lambda x: np.sin(s * np.arctan2(x, v)) / (1.0 + (x / v) ** 2) ** (0.5 * s), cfg
+        )
+        return 2.0 * r.value * v ** (-s)
+
+    return _hurwitz(s, u, integral)
 
 
 def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> float:
@@ -655,41 +625,35 @@ def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
                      + (1/Gamma(s)) int_0^inf e^{-u v} v^{s-1} B(v) dv,
 
     integrated in w = u v as u^{-s-1} int_0^inf e^{-w} w^s [B(w/u)/(w/u)] dw,
-    whose size does not shrink with u (the v-form is ~u^{-s}, below the
-    engine's absolute convergence test at large u).  Beyond w = 800 the
-    e^{-w} factor has underflowed past anything w^s can recover, so those
-    nodes are masked; 800^s overflows past s = 106, which is rejected.
-    Near s = -1 the kernel ~ w^s/12 puts mass (1e-300)^(s+1)/(12(s+1))
-    below the smallest exp-sinh node (~1e-300), which the quadrature loses,
-    so s + 1 < 0.05 is rejected in favor of :func:`hurwitz_hermite`; so is
-    |s| < 1e-3, where the 1/Gamma(s) factor vanishes and the representation
-    degenerates.  s = 1 (pole) is a domain error too.
+    whose size does not shrink with u; the small-u shift and the overflow rule
+    are :func:`hurwitz_hermite`'s.  Beyond w = 800 the e^{-w} factor has
+    underflowed past anything w^s can recover, so those nodes are masked;
+    800^s overflows past s = 106, which is rejected.  Near s = -1 the kernel
+    ~ w^s/12 puts mass (1e-300)^(s+1)/(12(s+1)) below the smallest exp-sinh
+    node (~1e-300), which the quadrature loses, so s + 1 < 0.05 is rejected
+    in favor of :func:`hurwitz_hermite`, as is |s| < 1e-3 (1/Gamma(s) -> 0).
     """
-    s = _require_finite(s, "s")
-    u = _require_positive(u, "u")
-    if s == 1.0:
-        raise ValueError("s = 1 is the pole of zeta(s, u)")
+    s, u = _require_hurwitz(s, u)
     if not s + 1.0 >= 0.05:
         raise ValueError(
             f"s + 1 < 0.05 loses the kernel mass below the first node, got s = {s!r}; "
             "use hurwitz_hermite"
         )
     if abs(s) < 1e-3:
-        raise ValueError(
-            "s within 1e-3 of 0 degenerates (1/Gamma(s) -> 0); use hurwitz_hermite"
-        )
+        raise ValueError("s within 1e-3 of 0 degenerates (1/Gamma(s) -> 0); use hurwitz_hermite")
     if s > 106.0:
         raise ValueError(f"s > 106 overflows w^s on the kept nodes, got s = {s!r}")
 
-    def f(w):
-        live = w <= 800.0
-        wl = np.where(live, w, 1.0)
-        return np.where(live, np.exp(-wl) * wl**s * binet_bracket_over_v(wl / u), 0.0)
+    def integral(v):
+        def f(w):
+            live = w <= 800.0
+            wl = np.where(live, w, 1.0)
+            return np.where(live, np.exp(-wl) * wl**s * binet_bracket_over_v(wl / v), 0.0)
 
-    # rgamma(s) times the integral is O(s); u^{-s-1} comes last so that no
-    # partial product underflows.
-    integral = float(mp.rgamma(s)) * integrate_semiaxis(f, cfg).value * u ** (-s - 1.0)
-    return u ** (-s) / 2.0 + u ** (1.0 - s) / (s - 1.0) + integral
+        # rgamma(s) * integral is O(s); v^{-s-1} last, so no partial product underflows.
+        return float(mp.rgamma(s)) * integrate_semiaxis(f, cfg).value * v ** (-s - 1.0)
+
+    return _hurwitz(s, u, integral)
 
 
 # --- Maclaurin delta constants ----------------------------------------------

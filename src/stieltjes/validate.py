@@ -56,11 +56,9 @@ from .core import (
     FLAG_NO_CONVERGENCE,
     _moment_convolution,
     MethodResult,
-    a_coefficient,
     barnes_g_log,
     brede_poly,
     delta_n,
-    gamma1_hermite,
     gamma_bell_family,
     gamma_brede,
     gamma_coffey,
@@ -317,8 +315,8 @@ def suite_stieltjes(cfg: Optional[QuadConfig] = None) -> Iterator[CheckRecord]:
             "stieltjes.cross_method", {"n": n, "u": u}, max(values), min(values), 1e-8, runs=runs
         )
     for u in (0.5, 1.0, 2.0):
-        hermite = gamma1_hermite(u, cfg)
-        yield _check("stieltjes.hermite1", {"u": u}, hermite, gamma_value(1, u), 1e-9)
+        coffey = gamma_coffey(1, u, cfg)
+        yield _check("stieltjes.hermite1", {"u": u}, coffey, gamma_value(1, u), 1e-9)
     for n in (0, 1):
         limit = gamma_limit(n, 10**6)
         yield _check("stieltjes.limit", {"n": n}, limit, gamma_value(n, 1.0), 1e-7, {"r": 10**6})
@@ -442,8 +440,10 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> Iterator[CheckRecord]:
             {"sign": sign},
             difference=violation,
         )
-    for m in range(7):
-        yield _check("identities.gamma_bridge", {"m": m}, *a_coefficient(m, cfg), 1e-8)
+    # a_m: each side of the u = 1 inversion identity plus Gamma^{(m)}(1)/2, integral side first.
+    for m, sides in enumerate(inversions):
+        a_m = [side + 0.5 * gamma_derivative_at_one(m) for side in reversed(sides)]
+        yield _check("identities.gamma_bridge", {"m": m}, *a_m, 1e-8)
     for m in range(7):
         yield _check(
             "identities.gamma_derivative_quadrature",

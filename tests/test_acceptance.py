@@ -28,7 +28,6 @@ import pytest
 
 from stieltjes import (
     QuadConfig,
-    a_coefficient,
     alt_deriv_at_1,
     bell_number,
     brede_poly,

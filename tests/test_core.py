@@ -2,7 +2,7 @@
 
 Each computational route (binomial series with integral tail, oscillatory
 Laplace integral, kernel-moment family, Appell-polynomial moments, partial-sum
-limit, Hermite integral) is checked independently against 50-digit reference
+limit) is checked independently against 50-digit reference
 values in :mod:`refs`, then against each other; the zeta-derivative and
 Barnes-function evaluators and the inversion/moment identities follow.
 """
@@ -21,12 +21,10 @@ from stieltjes import (
     MethodResult,
     QuadConfig,
     RealPolynomial,
-    a_coefficient,
     barnes_g_log,
     bell_family_coefficients,
     brede_poly,
     delta_n,
-    gamma1_hermite,
     gamma_bell_family,
     gamma_brede,
     gamma_coffey,
@@ -38,9 +36,11 @@ from stieltjes import (
     i_n_integral,
     inversion_sum,
     log_gamma,
+    run_suite,
     zeta_prime0,
     zeta_second0,
 )
+from stieltjes import core
 from stieltjes.core import _hasse_head, _moment_convolution, _require_route
 from stieltjes.quad import binet_bracket
 
@@ -110,6 +110,7 @@ def test_method_result_converged_property():
 def test_method_enum_values():
     assert Method.HASSE.value == "hasse"
     assert Method("coffey") is Method.COFFEY
+    assert set(Method) == set(ENVELOPES)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +127,13 @@ def test_hasse_full_grid(n, u):
 
 
 @pytest.mark.parametrize("n,u", [(2, 0.75), (12, 0.1), (12, 0.75), (12, 10.0)])
-def test_hasse_series_depth_independence(n, u):
+def test_hasse_series_depth_independence(n, u, monkeypatch):
     """The head-plus-tail split is exact: the result must not move with the
     truncation depth beyond roundoff."""
-    a = gamma_hasse(n, u, j_max=90).value
-    b = gamma_hasse(n, u, j_max=150).value
+    monkeypatch.setattr(core, "_J_MAX", 90)
+    a = gamma_hasse(n, u).value
+    monkeypatch.setattr(core, "_J_MAX", 150)
+    b = gamma_hasse(n, u).value
     assert abs(a - b) < _scaled(a, 1e-12)
 
 
@@ -170,7 +173,7 @@ def test_gamma_value_is_cached_float():
 # route 2: oscillatory Laplace integral
 
 
-@pytest.mark.parametrize("u", [0.5, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("u", [0.25, 0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("n", range(6))
 def test_coffey_grid(n, u):
     ref = refs.GAMMA[(n, u)]
@@ -284,18 +287,6 @@ def test_limit_route_domain():
 
 
 # ---------------------------------------------------------------------------
-# route 6: Hermite integral for gamma_1(u)
-
-
-@pytest.mark.parametrize("u", [0.25, 0.5, 1.0, 2.0, 5.0])
-def test_hermite_route(u):
-    ref = refs.GAMMA[(1, u)]
-    r = gamma1_hermite(u)
-    assert r.converged
-    assert abs(r.value - ref) < _scaled(ref, 1e-13)
-
-
-# ---------------------------------------------------------------------------
 # moment integrals and the inversion identity
 
 
@@ -326,17 +317,29 @@ def test_i_0_closed_form():
     assert abs(i_n_integral(0).value - (refs.CONST["euler_gamma"] - 0.5)) < 1e-13
 
 
+@pytest.fixture(scope="module")
+def gamma_bridge_records():
+    """The identities.gamma_bridge records by m: a_m as the integral side
+    (left) and the binomial side (right) of the u = 1 inversion identity."""
+    return {
+        dict(c.inputs)["m"]: c
+        for c in run_suite("identities").checks
+        if c.check_id.startswith("identities.gamma_bridge(")
+    }
+
+
 @pytest.mark.parametrize("n", range(7))
-def test_a_coefficient_both_forms(n):
+def test_a_coefficient_both_forms(n, gamma_bridge_records):
     ref = refs.A_N[n]
-    integral, binomial = a_coefficient(n)
-    assert abs(integral - ref) < _scaled(ref, 1e-12)
-    assert abs(binomial - ref) < _scaled(ref, 1e-10)
+    record = gamma_bridge_records[n]
+    assert abs(record.left - ref) < _scaled(ref, 1e-12)
+    assert abs(record.right - ref) < _scaled(ref, 1e-10)
 
 
 def test_a_coefficient_domain():
+    """The a_n come from the inversion sides, defined for n <= 8."""
     with pytest.raises(ValueError):
-        a_coefficient(9)
+        inversion_sum(9)
 
 
 @pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
@@ -432,22 +435,27 @@ def test_hurwitz_domain():
 
 # s = -0.95, the lower edge; large u, where the integral in v = w/u is tiny
 # against an absolute convergence test; large s at small u, where v^s
-# overflows before e^{-u v} has underflowed; s = 106, the upper edge.
+# overflows before e^{-u v} has underflowed; s = 106, the upper edge; large
+# s at moderate u, where Hermite's integral is ~u^{-s}; tiny u, reached by
+# the shift zeta(s, u) = u^{-s} + zeta(s, u + 1).
 LAPLACE_EDGES = [(-0.95, 0.5), (-0.95, 1.0), (-0.95, 2.0)] + [
     (10.0, 100.0), (30.0, 100.0), (100.0, 100.0), (3.0, 1e3), (2.0, 1e4),
     (100.0, 0.5), (100.0, 0.01), (60.0, 0.001), (106.0, 1.0),
+    (100.0, 2.0), (60.0, 2.0), (30.0, 10.0), (10.0, 10.0),
+    (-0.5, 1e-40), (-0.5, 1e-100), (0.5, 1e-300),
 ]
 LAPLACE_EDGE_IDS = [str(u) if s == -0.95 else f"s={s:g},u={u:g}" for s, u in LAPLACE_EDGES]
 
 
 @pytest.mark.parametrize("s,u", LAPLACE_EDGES, ids=LAPLACE_EDGE_IDS)
 def test_hurwitz_laplace_at_domain_edge(s, u):
-    """hurwitz_laplace matches mpmath.zeta at the edges of its domain, in
-    relative terms.  mpmath loses digits at large s and u (2.5e-11 at
-    (30, 100) with 40 digits), so the reference runs at 80."""
+    """Both Hurwitz evaluators match mpmath.zeta at the edges of the Laplace
+    form's domain, in relative terms.  mpmath loses digits at large s and u
+    (2.5e-11 at (30, 100) with 40 digits), so the reference runs at 80."""
     with mp.workdps(80):
         ref = float(mp.zeta(s, u))
     assert abs(hurwitz_laplace(s, u) - ref) < 1e-14 * abs(ref)
+    assert abs(hurwitz_hermite(s, u) - ref) < 1e-14 * abs(ref)
 
 
 # ---------------------------------------------------------------------------
