@@ -42,7 +42,7 @@ from stieltjes import (
 )
 from stieltjes import core
 from stieltjes.core import _hasse_head, _moment_convolution, _require_route
-from stieltjes.quad import binet_bracket
+from stieltjes.quad import _abel_plana, binet_bracket
 
 import refs
 
@@ -284,6 +284,29 @@ def test_limit_route_domain():
         gamma_limit(9, 10**6)
     with pytest.raises(ValueError):
         gamma_limit(0, 5)
+
+
+# ---------------------------------------------------------------------------
+# Hermite integral for gamma_1(u)
+
+
+@pytest.mark.parametrize("u", [0.5, 1.0, 2.0, 5.0])
+def test_hermite_route(u):
+    """gamma_1(u) = log(u)/(2u) - log^2(u)/2
+    + int_0^inf [x log(u^2+x^2) - 2u atan(x/u)] / [(u^2+x^2)(e^{2 pi x}-1)] dx,
+    the real pair of Hermite-type integrals that gamma_coffey folds into one
+    complex integrand at n = 1, through the same Abel-Plana weight."""
+    ref = refs.GAMMA[(1, u)]
+
+    def g(x):
+        r2 = u * u + x * x
+        return (x * np.log(r2) - 2.0 * u * np.arctan2(x, u)) / r2
+
+    r = _abel_plana(g, None)
+    value = math.log(u) / (2.0 * u) - math.log(u) ** 2 / 2.0 + r.value
+    assert r.converged
+    assert abs(value - ref) < _scaled(ref, 1e-13)
+    assert abs(value - gamma_coffey(1, u).value) < _scaled(ref, 1e-13)
 
 
 # ---------------------------------------------------------------------------
