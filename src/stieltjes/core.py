@@ -41,8 +41,8 @@ import numpy as np
 from .bellpoly import _MAX_DERIVATIVE, _derivative_tables, gamma_derivative_at_one
 from .quad import (
     QuadConfig,
-    QuadResult,
     _abel_plana,
+    _log_moments,
     binet_bracket,
     binet_bracket_over_v,
     integrate_semiaxis,
@@ -81,6 +81,10 @@ _LIMIT_MIN_TERMS = 10
 _J_MAX = 120
 # log of the largest binary64: the Hurwitz evaluators reject larger u^{-s}.
 _LOG_MAX = math.log(np.finfo(float).max)
+# gamma_coffey's integrand peaks near x = 0 at about log^n(u)/u^2 for u < 1;
+# past e^this (1e300: below u = 1e-150 at n = 0, at larger u for larger n)
+# the route answers by the shift in u instead.
+_COFFEY_PEAK_LOG_MAX = 300.0 * math.log(10.0)
 
 FLAG_CANCELLATION = "cancellation"
 FLAG_NO_CONVERGENCE = "no_convergence"
@@ -151,7 +155,8 @@ ENVELOPES = MappingProxyType({
 
 def _require_route(method: Method, n: int, u: float) -> Tuple[int, float]:
     """(n, u) as an order and a positive argument that lie in the route's
-    entry of ENVELOPES."""
+    entry of ENVELOPES, and where log^n(u)/u, the term that dominates
+    gamma_n(u) as u -> 0, fits binary64."""
     n = _require_order(n, "order n")
     u = _require_positive(u, "argument u")
     if not ENVELOPES[method].admits(n, u):
@@ -160,6 +165,8 @@ def _require_route(method: Method, n: int, u: float) -> Tuple[int, float]:
         raise ValueError(
             f"{method.value} is defined for n <= {max_n}{at}, got n = {n}, u = {u:.15g}"
         )
+    if u < 1.0:
+        _shift_term(n, u)
     return n, u
 
 
@@ -206,6 +213,16 @@ def _log_power_prefactor(n: int, u: float) -> float:
     return lg**n / (2.0 * u) - lg ** (n + 1) / (n + 1)
 
 
+def _shift_term(n: int, u: float) -> float:
+    """log^n(u)/u for u < 1, the term of the shift
+    gamma_n(u) = gamma_n(u+1) + log^n(u)/u; ValueError where it overflows
+    binary64."""
+    lg = math.log(u)
+    if n * math.log(-lg) - lg > _LOG_MAX:
+        raise ValueError(f"log^n(u)/u overflows binary64 at n = {n}, u = {u!r}")
+    return lg**n / u
+
+
 # --- Hasse series with exact integral tail ----------------------------------
 
 
@@ -236,6 +253,16 @@ def _hasse_tail_kernel(j_max: int):
     return kernel
 
 
+@lru_cache(maxsize=1)
+def _hasse_logs(u: float, j_max: int, dps: int) -> tuple:
+    """The mpf logs log(u + k), k = 0..J, at ``dps`` digits.  Every n of a
+    table at one u shares them; one entry, so no request meets a table left
+    by an earlier one at another u."""
+    with mp.workdps(dps):
+        um = mp.mpf(u)
+        return tuple(mp.log(um + k) for k in range(j_max + 1))
+
+
 def _hasse_head(n: int, u: float, j_max: int) -> Tuple[float, float]:
     """sum_{j=0}^{J} [1/(j+1)] sum_k C(j,k)(-1)^k log^{n+1}(u+k), and the
     largest |partial term|/(n+1) seen (for the cancellation diagnostic).
@@ -256,10 +283,8 @@ def _hasse_head(n: int, u: float, j_max: int) -> Tuple[float, float]:
     dps = int(0.302 * j_max) + 25
     with mp.workdps(dps):
         prec = mp.mp.prec
-        um = mp.mpf(u)
         table = [
-            mp.libmp.to_fixed((mp.log(um + k) ** (n + 1))._mpf_, prec)
-            for k in range(j_max + 1)
+            mp.libmp.to_fixed((lg ** (n + 1))._mpf_, prec) for lg in _hasse_logs(u, j_max, dps)
         ]
     lcm = math.lcm(*range(1, j_max + 2))
     total = 0
@@ -271,22 +296,6 @@ def _hasse_head(n: int, u: float, j_max: int) -> Tuple[float, float]:
         for k in range(j_max - j):
             table[k] -= table[k + 1]
     return total / (lcm << prec), max_term
-
-
-def _log_moments(kernel, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
-    """M_p(u) = int_0^inf log^p(v) e^{-u v} K(v) dv for every p in ``powers``,
-    as the rows of one stacked exp-sinh pass over the kernel K."""
-
-    def f(v):
-        damped = np.exp(-u * v)
-        lg = np.log(v)
-        kv = kernel(v)
-        out = np.empty((len(powers), len(v)))
-        for row, p in zip(out, powers):
-            row[:] = damped * lg**p * kv if p else damped * kv
-        return out
-
-    return integrate_semiaxis(f, cfg)
 
 
 def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
@@ -353,9 +362,17 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
     the right half-plane).  The i[L/z - conj(L/z)] combination of the
     analytic form is folded to -2 Im[L/z] so the whole computation is real.
     Dividing by z never forms u^2 + x^2, which underflows for tiny u and x.
+    Where log^n(u)/u^2 exceeds 1e300 (below u = 1e-150 at n = 0) the
+    integrand nears overflow, so the value is the shift
+    gamma_n(u+1) + log^n(u)/u instead; (n, u) where log^n(u)/u overflows
+    binary64 is rejected.
     """
     n, u = _require_route(Method.COFFEY, n, u)
-    prefactor = _log_power_prefactor(n, u)
+    shift = 0.0
+    lg = math.log(u)
+    if lg < 0.0 and n * math.log(-lg) - 2.0 * lg > _COFFEY_PEAK_LOG_MAX:
+        shift, u = _shift_term(n, u), u + 1.0
+    prefactor = _log_power_prefactor(n, u) + shift
 
     def g(x):
         z = u + 1j * x
@@ -491,15 +508,18 @@ def inversion_sum(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> T
     """
     n = _require_order(n, "n", 0, 8)
     u = _require_positive(u, "u")
-    sum_side = math.fsum(
+    return _inversion_sum_side(n, u), _log_moments(binet_bracket, u, (n,), cfg).value[0]
+
+
+def _inversion_sum_side(n: int, u: float) -> float:
+    """The sum side of :func:`inversion_sum`, for a checked (n, u)."""
+    return math.fsum(
         comb(n, k)
         * (-1.0) ** k
         * (gamma_value(k, u) - _log_power_prefactor(k, u))
         * gamma_derivative_at_one(n - k)
         for k in range(n + 1)
     )
-    integral_side = _log_moments(binet_bracket, u, (n,), cfg).value[0]
-    return sum_side, integral_side
 
 
 def i_n_integral(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:

@@ -29,6 +29,14 @@ Numerical policy, all consequences of binary64:
 * Any non-finite integrand sample raises :class:`IntegrandError` carrying
   the offending abscissa.
 
+Arrays that depend on the level alone are computed once per process, on
+first use, and kept read-only: the exp-sinh x, w and log x, each moment
+kernel K(x) of :func:`_log_moments`, and the Abel-Plana clamped nodes,
+cutoff mask and expm1(2 pi x).  Only levels up to the default ``max_level``
+(12; ~55k nodes, < 0.5 MB per array) are kept; deeper levels are built for
+the call and dropped.  Each integrand forms the same products in the same
+order as it would from scratch, so the tables change no value.
+
 The module also houses the regularized Binet kernel
 
     B(v) = 1/(e^v - 1) - 1/v + 1/2,    B(v) -> 0 as v -> 0,
@@ -120,13 +128,31 @@ class QuadResult:
     converged: bool = True
 
 
-@lru_cache(maxsize=256)
+# Level-only arrays are kept per process up to the default max_level: all of
+# levels 0..12 hold ~55k exp-sinh nodes (~0.45 MB per array), while level 20
+# alone adds ~7M, so deeper levels are built for each call and dropped.
+_KEPT_LEVELS = QuadConfig.max_level
+
+
+def _kept(table: Callable, level: int, *key):
+    """table(level, *key) for an ``lru_cache``'d builder of level-only arrays:
+    cached up to _KEPT_LEVELS, built afresh and dropped past it."""
+    return (table if level <= _KEPT_LEVELS else table.__wrapped__)(level, *key)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def _level_grid(level: int, t_lo: float, t_hi: float) -> np.ndarray:
     """Multiples of h = 2^-level in [t_lo, t_hi]; only odd ones for level >= 1.
 
     Level 0 supplies the integer grid; each later level supplies exactly the
     new nodes of the halved step, so the union over levels 0..L is the full
-    grid of step 2^-L.  Cached; treat the returned array as immutable.
+    grid of step 2^-L.  Read-only; look it up through :func:`_kept`.
     """
     h = 2.0 ** (-level)
     k_min = int(math.ceil(t_lo / h))
@@ -134,21 +160,23 @@ def _level_grid(level: int, t_lo: float, t_hi: float) -> np.ndarray:
     k = np.arange(k_min, k_max + 1)
     if level >= 1:
         k = k[k % 2 != 0]
-    return k * h
+    return _read_only(k * h)[0]
 
 
-def _eval_samples(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Evaluate the vectorized f on the node vector: one row of samples,
+def _eval_samples(sample: Callable, x: np.ndarray, level: int) -> np.ndarray:
+    """Evaluate sample(x, level) on the node vector: one row of samples,
     shape (len(x),), or a stack of rows, shape (k, len(x))."""
     with np.errstate(all="ignore"):
-        out = np.asarray(f(x), dtype=float)
+        out = np.asarray(sample(x, level), dtype=float)
     if out.ndim not in (1, 2) or out.shape[-1:] != x.shape:
         raise IntegrandError(x[0], f"integrand returned shape {out.shape} for {x.shape} nodes")
     return out
 
 
-def _refine(f: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig]) -> QuadResult:
-    """Shared level-doubling driver; ``nodes(L)`` -> the (x, w) new at level L.
+def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig]) -> QuadResult:
+    """Shared level-doubling driver; ``nodes(L)`` -> the (x, w) new at level L,
+    ``sample(x, L)`` -> the integrand on them, so that an integrand can look
+    up its own level-only arrays.
 
     Each row is a [total, estimate, converged] triple of plain floats.
     """
@@ -156,7 +184,7 @@ def _refine(f: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig
     evaluations = 0
     for level in range(cfg.max_level + 1):
         x, w = nodes(level)
-        fx = _eval_samples(f, x)
+        fx = _eval_samples(sample, x, level)
         bad = ~np.isfinite(fx)
         if bad.any():
             raise IntegrandError(float(x[np.argmax(bad) % len(x)]))
@@ -201,7 +229,7 @@ def integrate_finite(
     half = 0.5 * (b - a)
 
     def nodes(level: int):
-        t = _level_grid(level, -_TS_T_MAX, _TS_T_MAX)
+        t = _kept(_level_grid, level, -_TS_T_MAX, _TS_T_MAX)
         z = _LAMBDA * np.sinh(t)
         upper = t >= 0
         offset = half * 2.0 / (np.exp(2.0 * np.abs(z)) + 1.0)
@@ -210,7 +238,24 @@ def integrate_finite(
         t, z, x = t[keep], z[keep], x[keep]
         return x, half * _LAMBDA * np.cosh(t) / np.cosh(z) ** 2
 
-    return _refine(f, nodes, cfg)
+    return _refine(lambda x, level: f(x), nodes, cfg)
+
+
+@lru_cache(maxsize=None)
+def _es_nodes(level: int) -> tuple:
+    """The exp-sinh (x, w, log x) new at ``level``, read-only; look them up
+    through :func:`_kept`."""
+    t = _kept(_level_grid, level, _ES_T_LO, _ES_T_HI)
+    z = _LAMBDA * np.sinh(t)
+    keep = z < _ES_ABSCISSA_LOG_CAP
+    t, z = t[keep], z[keep]
+    x = np.exp(z)
+    return _read_only(x, x * _LAMBDA * np.cosh(t), np.log(x))
+
+
+def _semiaxis(sample: Callable, cfg: Optional[QuadConfig]) -> QuadResult:
+    """exp-sinh integral of the level-aware integrand sample(x, level)."""
+    return _refine(sample, lambda level: _kept(_es_nodes, level)[:2], cfg)
 
 
 def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -220,16 +265,19 @@ def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadRes
     like a power of log at 0.  Non-finite samples raise
     :class:`IntegrandError`.
     """
+    return _semiaxis(lambda x, level: f(x), cfg)
 
-    def nodes(level: int):
-        t = _level_grid(level, _ES_T_LO, _ES_T_HI)
-        z = _LAMBDA * np.sinh(t)
-        keep = z < _ES_ABSCISSA_LOG_CAP
-        t, z = t[keep], z[keep]
-        x = np.exp(z)
-        return x, x * _LAMBDA * np.cosh(t)
 
-    return _refine(f, nodes, cfg)
+@lru_cache(maxsize=None)
+def _abel_weight(level: int) -> tuple:
+    """The Abel-Plana pieces new at ``level``: the clamped nodes
+    xc = min(x, _WEIGHT_CUTOFF), the mask x > _WEIGHT_CUTOFF and
+    expm1(2 pi xc); read-only, looked up through :func:`_kept`."""
+    x = _kept(_es_nodes, level)[0]
+    xc = np.minimum(x, _WEIGHT_CUTOFF)
+    with np.errstate(over="ignore"):  # inf past x ~ 113, where g(x)/inf is the true 0
+        expm1_2pi_x = np.expm1(2.0 * math.pi * xc)
+    return _read_only(xc, x > _WEIGHT_CUTOFF, expm1_2pi_x)
 
 
 def _abel_plana(g: Callable, cfg: Optional[QuadConfig]) -> QuadResult:
@@ -238,11 +286,36 @@ def _abel_plana(g: Callable, cfg: Optional[QuadConfig]) -> QuadResult:
     clamped nodes min(x, _WEIGHT_CUTOFF); past the cutoff the weighted
     integrand is identically zero to binary64."""
 
-    def f(x):
-        xc = np.minimum(x, _WEIGHT_CUTOFF)
-        return np.where(x > _WEIGHT_CUTOFF, 0.0, g(xc) / np.expm1(2.0 * math.pi * xc))
+    def sample(x, level):
+        xc, beyond, expm1_2pi_x = _kept(_abel_weight, level)
+        return np.where(beyond, 0.0, g(xc) / expm1_2pi_x)
 
-    return integrate_semiaxis(f, cfg)
+    return _semiaxis(sample, cfg)
+
+
+@lru_cache(maxsize=64)
+def _kernel_on_nodes(level: int, kernel: Callable) -> np.ndarray:
+    """kernel(x) on the exp-sinh nodes new at ``level``, read-only; looked up
+    through :func:`_kept`.  Keyed by the kernel object, so each Hasse depth J
+    has its own table; bounded, since a throwaway lambda also makes an entry."""
+    return _read_only(kernel(_kept(_es_nodes, level)[0]))[0]
+
+
+def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
+    """M_p(u) = int_0^inf log^p(v) e^{-u v} K(v) dv for every p in ``powers``,
+    as the rows of one stacked exp-sinh pass over the kernel K.  log v and
+    K(v) depend on the level only, so each is computed once per process."""
+
+    def sample(v, level):
+        damped = np.exp(-u * v)
+        lg = _kept(_es_nodes, level)[2]
+        kv = _kept(_kernel_on_nodes, level, kernel)
+        out = np.empty((len(powers), len(v)))
+        for row, p in zip(out, powers):
+            row[:] = damped * lg**p * kv if p else damped * kv
+        return out
+
+    return _semiaxis(sample, cfg)
 
 
 # --- regularized Binet kernel ------------------------------------------------

@@ -54,6 +54,7 @@ from .bellpoly import (
 )
 from .core import (
     FLAG_NO_CONVERGENCE,
+    _inversion_sum_side,
     _moment_convolution,
     MethodResult,
     barnes_g_log,
@@ -68,7 +69,6 @@ from .core import (
     hurwitz_hermite,
     hurwitz_laplace,
     i_n_integral,
-    inversion_sum,
     zeta_prime0,
     zeta_second0,
 )
@@ -406,7 +406,11 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> Iterator[CheckRecord]:
         )
     quarter = integrate_semiaxis(lambda v: -np.expm1(-v) / v * binet_bracket_over_v(v), cfg)
     yield _check("identities.quarter_integral", {}, quarter, 0.25, 1e-10)
-    inversions = [inversion_sum(n, 1.0, cfg) for n in range(7)]
+    # I_n = int log^n(v) e^{-v} B(v) dv for n = 0..12, each integrated once:
+    # the integral side of the u = 1 inversion identity for n <= 6, and the
+    # sign pattern below.
+    moments = [i_n_integral(n, cfg) for n in range(13)]
+    inversions = [(_inversion_sum_side(n, 1.0), moments[n].value) for n in range(7)]
     for n, sides in enumerate(inversions):
         yield _check("identities.inversion", {"n": n}, *sides, 1e-7)
     closed_forms = {
@@ -426,8 +430,7 @@ def suite_identities(cfg: Optional[QuadConfig] = None) -> Iterator[CheckRecord]:
     # Positivity with margin: the signed value must exceed its own error
     # estimate, so the difference is the violation max(0, estimate - value)
     # and the tolerance is 0.
-    for n in range(13):
-        result = i_n_integral(n, cfg)
+    for n, result in enumerate(moments):
         sign = -1.0 if (n % 2 == 1 and n >= 5) else 1.0
         signed = dataclasses.replace(result, value=sign * result.value)
         violation = max(0.0, signed.error_estimate - signed.value)

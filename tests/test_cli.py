@@ -244,6 +244,8 @@ def _no_route(*args, **kwargs):
         ["table", "gamma_derivs", "--max-m", "13"],
         ["gamma", "-n", "2", "-u", "2", "--method", "brede"],
         ["gamma", "-n", "3", "--limit-terms", "5"],
+        ["gamma", "-n", "3", "-u", "1e-300"],
+        ["gamma", "-n", "3", "-u", "1e-300", "--method", "coffey"],
     ],
 )
 def test_usage_errors(argv, tmp_path, capsys, monkeypatch):

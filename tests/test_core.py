@@ -194,6 +194,32 @@ def test_coffey_at_tiny_u(n, u):
     assert abs(value - ref) < 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize(
+    "n,u", [(0, 1e-200), (1, 1e-200), (3, 1e-200), (40, 1e-120), (0, 1e-300), (2, 1e-300)]
+)
+def test_coffey_below_the_direct_range(n, u):
+    """Where the integrand nears overflow (below u = 1e-150 at n = 0, at
+    larger u for larger n) the route answers by the shift identity; u + 1
+    rounds to 1 there, so that identity is the reference to binary64."""
+    r = gamma_coffey(n, u)
+    ref = math.log(u) ** n / u + gamma_coffey(n, 1.0).value
+    assert r.converged and r.method is Method.COFFEY
+    assert abs(r.value - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "route,n,u",
+    [(gamma_coffey, 3, 1e-300), (gamma_coffey, 41, 1e-200), (gamma_hasse, 3, 1e-300),
+     (gamma_bell_family, 12, 1e-300)],
+)
+def test_overflowing_answer_is_rejected_when_checked(route, n, u):
+    """log^n(u)/u overflows binary64: a ValueError from the request check,
+    not an IntegrandError from the engine."""
+    with pytest.raises(ValueError, match="overflows binary64") as excinfo:
+        route(n, u)
+    assert excinfo.type is ValueError
+
+
 # ---------------------------------------------------------------------------
 # route 3: kernel-moment (reciprocal-Gamma-coefficient) family
 

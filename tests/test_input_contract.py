@@ -56,6 +56,8 @@ BAD_CALLS = [
     "gamma_coffey(2.5)",
     "gamma_coffey(0, inf)",
     "gamma_coffey(0, nan)",
+    "gamma_coffey(3, 1e-300)",
+    "gamma_hasse(3, 1e-300)",
     "bell_family_coefficients(2.5)",
     "gamma_bell_family(2.5)",
     "gamma_bell_family(0, inf)",
