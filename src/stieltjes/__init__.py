@@ -1,12 +1,12 @@
 """Generalized Stieltjes constants gamma_n(u) via cross-validating routes.
 
 The library computes the Laurent coefficients of the Hurwitz zeta function
-about s = 1 through four mathematically independent representations
+about s = 1 through three mathematically independent representations
 (binomial series, Hermite contour integral, Binet-kernel integrals with
-reciprocal-gamma weights, Appell-polynomial integrals), together with the
-exact complete Bell polynomial engine, the zeta derivatives at s = 0, the
-alternating Hurwitz zeta web, and a validation harness that checks every
-identity both ways.
+reciprocal-gamma weights) and the Appell-polynomial integral, the third
+with its sum moved inside, together with the exact complete Bell
+polynomial engine, the zeta derivatives at s = 0, the alternating Hurwitz
+zeta web, and a validation harness that checks every identity both ways.
 
 >>> from stieltjes import gamma_hasse
 >>> gamma_hasse(0).value            # Euler's constant

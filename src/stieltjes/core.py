@@ -6,14 +6,16 @@ s = 1,
     zeta(s, u) = 1/(s-1) + sum_{n>=0} (-1)^n gamma_n(u) (s-1)^n / n!,
 
 with gamma_0(u) = -psi(u) and gamma_n = gamma_n(1) the classical Stieltjes
-constants.  Four mathematically independent computational routes are
-provided and cross-validated:
+constants.  Four computational routes are provided and cross-validated,
+three of them mathematically independent:
 
 * :func:`gamma_hasse`      -- the globally convergent binomial double series,
 * :func:`gamma_coffey`     -- a Hermite-type contour integral (real form),
 * :func:`gamma_bell_family`-- Laplace-kernel integrals weighted by the
                               reciprocal-gamma derivative coefficients c_k,
-* :func:`gamma_brede`      -- the Appell-polynomial weighted integral (u = 1).
+* :func:`gamma_brede`      -- the Appell-polynomial weighted integral (u = 1),
+                              the u = 1 Bell-family integral with the c_k sum
+                              moved inside, so not an independent vote.
 
 Around them sit the objects they certify: the Brede polynomials p_n, the
 inversion identity tying gamma-values to pure log-power integrals I_n, the
@@ -58,7 +60,6 @@ __all__ = [
     "RealPolynomial",
     "gamma_hasse",
     "gamma_coffey",
-    "bell_family_coefficients",
     "gamma_bell_family",
     "brede_poly",
     "gamma_brede",
@@ -81,10 +82,12 @@ _LIMIT_MIN_TERMS = 10
 _J_MAX = 120
 # log of the largest binary64: the Hurwitz evaluators reject larger u^{-s}.
 _LOG_MAX = math.log(np.finfo(float).max)
-# gamma_coffey's integrand peaks near x = 0 at about log^n(u)/u^2 for u < 1;
-# past e^this (1e300: below u = 1e-150 at n = 0, at larger u for larger n)
-# the route answers by the shift in u instead.
-_COFFEY_PEAK_LOG_MAX = 300.0 * math.log(10.0)
+# At tiny u the u-routes' integrals break down: Coffey's integrand peaks
+# near x = 0 at about log^n(u)/u^2, and Hasse's and Bell's e^{-uv} has not
+# decayed by the exp-sinh cap e^668.  Where that peak passes e^this (1e300:
+# below u = 1e-150 at n = 0, at larger u for larger n) all three answer by
+# the shift in u instead.
+_PEAK_LOG_MAX = 300.0 * math.log(10.0)
 
 FLAG_CANCELLATION = "cancellation"
 FLAG_NO_CONVERGENCE = "no_convergence"
@@ -181,9 +184,7 @@ class RealPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, z):
-        acc = np.zeros_like(np.asarray(z, dtype=float)) + self.coefficients[-1]
-        for c in self.coefficients[-2::-1]:
-            acc = acc * z + c
+        acc = np.polyval(self.coefficients[::-1], np.asarray(z, dtype=float))
         return acc if acc.ndim else float(acc)
 
     def derivative(self) -> "RealPolynomial":
@@ -223,6 +224,16 @@ def _shift_term(n: int, u: float) -> float:
     return lg**n / u
 
 
+def _small_u_shift(n: int, u: float) -> Tuple[float, float]:
+    """(log^n(u)/u, u + 1) where log^n(u)/u^2 exceeds 1e300, else (0, u):
+    the term a u-route adds and the argument it integrates at, by the exact
+    shift gamma_n(u) = gamma_n(u+1) + log^n(u)/u."""
+    lg = math.log(u)
+    if lg < 0.0 and n * math.log(-lg) - 2.0 * lg > _PEAK_LOG_MAX:
+        return _shift_term(n, u), u + 1.0
+    return 0.0, u
+
+
 # --- Hasse series with exact integral tail ----------------------------------
 
 
@@ -239,14 +250,13 @@ def _hasse_tail_kernel(j_max: int):
     below that bound and the raw t - L difference there is pure cancellation
     noise.
     """
-    recip = [1.0 / m for m in range(j_max + 1, 0, -1)]
+    # L_{J+1}(phi) = sum_{m=1}^{J+1} phi^m/m as a polynomial in phi.
+    recip = [1.0 / m for m in range(j_max + 1, 0, -1)] + [0.0]
     log_threshold = math.log(1e-19) + math.log(j_max + 2)
 
     def kernel(t: np.ndarray) -> np.ndarray:
         phi = -np.expm1(-t)
-        acc = np.zeros_like(phi)
-        for c in recip:
-            acc = (acc + c) * phi
+        acc = np.polyval(recip, phi)
         bound = (j_max + 1) * np.log(phi) + t
         return np.where(bound > log_threshold, (t - acc) / phi, 0.0) / t
 
@@ -304,7 +314,7 @@ def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
     propagated estimate, the largest |term| and the pass's QuadResult."""
     r = _log_moments(kernel, u, range(n + 1), cfg)
     total = estimate = max_term = 0.0
-    for k, c_k in enumerate(bell_family_coefficients(n)):
+    for k, c_k in enumerate(_derivative_tables()[1][: n + 1]):
         weight = comb(n, k) * c_k
         term = weight * r.value[n - k]
         total += term
@@ -331,12 +341,15 @@ def gamma_hasse(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> 
     where rho_J is the truncated-geometric remainder density (see
     ``_hasse_tail_kernel``) and c_m = d^m/ds^m [1/Gamma(1+s)] at 0.  The
     result is therefore independent of J to roundoff; J only moves work
-    between the series head and the tail integrals.
+    between the series head and the tail integrals.  Below u = 1e-150 (at
+    n = 0) the value is the shift gamma_n(u+1) + log^n(u)/u, as in
+    :func:`gamma_coffey`.
     """
     n, u = _require_route(Method.HASSE, n, u)
+    shift, u = _small_u_shift(n, u)
     head, head_term = _hasse_head(n, u, _J_MAX)
     tail, tail_estimate, tail_term, r = _moment_convolution(_hasse_tail_kernel(_J_MAX), n, u, cfg)
-    value = -head / (n + 1) + tail
+    value = -head / (n + 1) + tail + shift
     max_term = max(abs(value), head_term, tail_term)
     return _result(
         Method.HASSE, value, tail_estimate, max_term, _J_MAX + 1 + r.evaluations, r.converged, 4e-16
@@ -364,14 +377,11 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
     Dividing by z never forms u^2 + x^2, which underflows for tiny u and x.
     Where log^n(u)/u^2 exceeds 1e300 (below u = 1e-150 at n = 0) the
     integrand nears overflow, so the value is the shift
-    gamma_n(u+1) + log^n(u)/u instead; (n, u) where log^n(u)/u overflows
-    binary64 is rejected.
+    gamma_n(u+1) + log^n(u)/u instead, as in the Hasse and Bell-family
+    routes; (n, u) where log^n(u)/u overflows binary64 is rejected.
     """
     n, u = _require_route(Method.COFFEY, n, u)
-    shift = 0.0
-    lg = math.log(u)
-    if lg < 0.0 and n * math.log(-lg) - 2.0 * lg > _COFFEY_PEAK_LOG_MAX:
-        shift, u = _shift_term(n, u), u + 1.0
+    shift, u = _small_u_shift(n, u)
     prefactor = _log_power_prefactor(n, u) + shift
 
     def g(x):
@@ -388,17 +398,6 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
 # --- Bell-family representation ---------------------------------------------
 
 
-def bell_family_coefficients(k_max: int) -> Tuple[float, ...]:
-    """c_k = d^k/ds^k [1/Gamma(s)] at s = 1, for k = 0..k_max.
-
-    These are the complete Bell polynomial values Y_k at the arguments
-    -psi(1), -psi'(1), ..., -psi^{(k-1)}(1); first values 1, gamma,
-    gamma^2 - zeta(2).  A slice of the process-wide table of
-    :func:`stieltjes.bellpoly.inv_gamma_derivative_at_zero`.
-    """
-    return _derivative_tables()[1][: _require_order(k_max, "k_max", 0, _MAX_DERIVATIVE) + 1]
-
-
 def gamma_bell_family(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> MethodResult:
     """gamma_n(u) from Binet-kernel integrals weighted by the c_k,
 
@@ -407,12 +406,15 @@ def gamma_bell_family(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = Non
                        int_0^inf e^{-u v} log^{n-k}(v) B(v) dv,
 
     with B(v) = 1/(e^v - 1) - 1/v + 1/2 and c_k from
-    :func:`bell_family_coefficients`.  At u = 1 and n >= 1 the kernel
-    B(v) - 1/2 gives the same value, since the c_k convolve against the
-    Gamma-derivatives (the moments of e^{-v}) to zero there.
+    :func:`stieltjes.bellpoly.inv_gamma_derivative_at_zero`.  At u = 1 and
+    n >= 1 the kernel B(v) - 1/2 gives the same value, since the c_k
+    convolve against the Gamma-derivatives (the moments of e^{-v}) to zero
+    there.  Below u = 1e-150 (at n = 0) the value is the shift
+    gamma_n(u+1) + log^n(u)/u, as in :func:`gamma_coffey`.
     """
     n, u = _require_route(Method.BELL_FAMILY, n, u)
-    prefactor = _log_power_prefactor(n, u)
+    shift, u = _small_u_shift(n, u)
+    prefactor = _log_power_prefactor(n, u) + shift
     total, estimate, max_term, r = _moment_convolution(binet_bracket, n, u, cfg)
     max_term = max(abs(prefactor), max_term)
     return _result(
@@ -430,7 +432,7 @@ def brede_poly(n: int) -> RealPolynomial:
     p_2 = z^2 - 2 gamma z + gamma^2 - zeta(2).  Satisfies p_n' = n p_{n-1}.
     """
     n = _require_order(n, "n", 0, _MAX_DERIVATIVE)
-    cs = bell_family_coefficients(n)
+    cs = _derivative_tables()[1]
     coefficients = [0.0] * (n + 1)
     for k in range(n + 1):
         coefficients[n - k] = comb(n, k) * (-1.0) ** k * cs[k]

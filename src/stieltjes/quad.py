@@ -326,14 +326,6 @@ def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) 
 _BRACKET_SWITCH = 0.5
 
 
-def _bracket_series_over_v(v2: np.ndarray) -> np.ndarray:
-    """sum_j B_{2j} v^{2j-2}/(2j)! as a Horner polynomial in v^2."""
-    acc = np.full_like(v2, BERN_OVER_FACT[-1])
-    for c in BERN_OVER_FACT[-2::-1]:
-        acc = acc * v2 + c
-    return acc
-
-
 def _binet(v, over_v: bool):
     """B(v), or B(v)/v, with the series below |v| = 1/2; scalar in, scalar out."""
     v = np.asarray(v, dtype=float)
@@ -341,7 +333,7 @@ def _binet(v, over_v: bool):
     v = np.atleast_1d(v)
     small = np.abs(v) < _BRACKET_SWITCH
     vs = np.where(small, v, 1.0)
-    series = _bracket_series_over_v(vs * vs)
+    series = np.polyval(BERN_OVER_FACT[::-1], vs * vs)  # sum_j B_{2j} v^{2j-2}/(2j)!
     with np.errstate(over="ignore", divide="ignore"):
         vr = np.where(small, 1.0, v)
         raw = 1.0 / np.expm1(vr) - 1.0 / vr + 0.5

@@ -1,10 +1,9 @@
 """Base special functions: log-gamma, digamma, polygamma, Hurwitz zeta (s > 1).
 
-log Gamma comes from :func:`math.lgamma`; psi, psi^{(p)} and the zeta(k)
-of the constant table are mpmath values rounded once to binary64.  All are
-domain-checked here; re-deriving them would add risk, not value.  The
-Hurwitz zeta function for s > 1 is an explicit truncated series with an
-Euler-Maclaurin tail,
+log Gamma comes from :func:`math.lgamma`; psi and psi^{(p)} are mpmath
+values rounded once to binary64.  All are domain-checked here; re-deriving
+them would add risk, not value.  The Hurwitz zeta function for s > 1 is an
+explicit truncated series with an Euler-Maclaurin tail,
 
     zeta(s, x) = sum_{k=0}^{N-1} (x+k)^{-s} + M^{1-s}/(s-1) + M^{-s}/2
                  + sum_{j=1}^{6} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * M^{-s-2j+1},
@@ -18,16 +17,12 @@ integral representations of :mod:`stieltjes.core`, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
 
 __all__ = [
-    "ConstantTable",
-    "constant_table",
     "log_gamma",
     "digamma",
     "polygamma",
@@ -53,40 +48,6 @@ BERN_OVER_FACT = (
     -691.0 / 1307674368000.0,
     1.0 / 74724249600.0,
 )
-
-
-@dataclass(frozen=True)
-class ConstantTable:
-    """High-accuracy scalar constants shared across the package.
-
-    ``zeta_values[k-2]`` holds zeta(k) for k = 2..k_max; every entry is
-    accurate to within one unit in the last binary64 place.
-    """
-
-    euler_gamma: float
-    log_2: float
-    log_2pi: float
-    zeta_values: Tuple[float, ...]
-
-    @property
-    def k_max(self) -> int:
-        return len(self.zeta_values) + 1
-
-    def zeta(self, k: int) -> float:
-        """zeta(k) for integer k in [2, k_max]."""
-        return self.zeta_values[_require_order(k, "k", 2, self.k_max) - 2]
-
-
-@lru_cache(maxsize=None)
-def constant_table(k_max: int = 20) -> ConstantTable:
-    """Immutable constant table with zeta(2)..zeta(k_max); cached per k_max."""
-    zetas = tuple(float(mp.zeta(k)) for k in range(2, _require_order(k_max, "k_max", 2) + 1))
-    return ConstantTable(
-        euler_gamma=float(np.euler_gamma),
-        log_2=math.log(2.0),
-        log_2pi=math.log(2.0 * math.pi),
-        zeta_values=zetas,
-    )
 
 
 # The package's input contract: every public function checks its integer

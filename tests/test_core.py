@@ -22,7 +22,6 @@ from stieltjes import (
     QuadConfig,
     RealPolynomial,
     barnes_g_log,
-    bell_family_coefficients,
     brede_poly,
     delta_n,
     gamma_bell_family,
@@ -40,9 +39,10 @@ from stieltjes import (
     zeta_prime0,
     zeta_second0,
 )
-from stieltjes import core
-from stieltjes.core import _hasse_head, _moment_convolution, _require_route
-from stieltjes.quad import _abel_plana, binet_bracket
+from stieltjes import core, quad
+from stieltjes.core import _hasse_head, _hasse_tail_kernel, _moment_convolution, _require_route
+from stieltjes.quad import _abel_plana, binet_bracket, binet_bracket_over_v
+from stieltjes.specfun import BERN_OVER_FACT
 
 import refs
 
@@ -207,6 +207,18 @@ def test_coffey_below_the_direct_range(n, u):
     assert abs(r.value - ref) <= 1e-15 * abs(ref)
 
 
+@pytest.mark.parametrize("route", [gamma_hasse, gamma_coffey, gamma_bell_family])
+@pytest.mark.parametrize("n,u", [(0, 1e-300), (1, 1e-300), (2, 1e-300), (12, 1e-200)])
+def test_u_routes_share_the_small_u_shift(route, n, u):
+    """Below the direct range every u-route answers by the shift identity,
+    unflagged; u + 1 rounds to 1 there, so log^n(u)/u + gamma_n(1) is the
+    reference to binary64."""
+    r = route(n, u)
+    ref = math.log(u) ** n / u + refs.GAMMA_AT_1[n]
+    assert not r.flags
+    assert abs(r.value - ref) <= 1e-15 * abs(ref)
+
+
 @pytest.mark.parametrize(
     "route,n,u",
     [(gamma_coffey, 3, 1e-300), (gamma_coffey, 41, 1e-200), (gamma_hasse, 3, 1e-300),
@@ -239,12 +251,6 @@ def test_bell_family_bare_kernel(n):
     ref = refs.GAMMA_AT_1[n]
     value = _moment_convolution(lambda v: binet_bracket(v) - 0.5, n, 1.0, None)[0]
     assert abs(value - ref) < _scaled(ref, 1e-12)
-
-
-def test_family_coefficients_match_reciprocal_gamma_derivatives():
-    coeffs = bell_family_coefficients(8)
-    for k, c in enumerate(coeffs):
-        assert abs(c - refs.INV_GAMMA_DERIVS[k]) < 1e-12 * max(1.0, abs(refs.INV_GAMMA_DERIVS[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +297,30 @@ def test_real_polynomial_behavior():
     assert p(2.0) == 9.0
     assert np.allclose(p(np.array([0.0, 1.0])), [1.0, 2.0])
     assert p.derivative().coefficients == (-2.0, 6.0)
+
+
+def test_polyval_forms_equal_their_horner_loops():
+    """RealPolynomial, the Binet series and the Hasse tail kernel's
+    L_{J+1}(phi) go through np.polyval; on the exp-sinh nodes of levels
+    0..12 each is bit-identical to the written-out Horner loop."""
+    x = np.concatenate([quad._es_nodes(level)[0] for level in range(13)])
+
+    def horner(coefficients, z):  # highest degree first
+        acc = np.full_like(z, coefficients[0])
+        for c in coefficients[1:]:
+            acc = acc * z + c
+        return acc
+
+    p = brede_poly(12)
+    assert np.array_equal(p(-np.log(x)), horner(p.coefficients[::-1], -np.log(x)))
+    v = x[x < 0.5]
+    assert np.array_equal(binet_bracket_over_v(v), horner(BERN_OVER_FACT[::-1], v * v))
+    phi = -np.expm1(-x)
+    for j_max in (0, 1, 20, 120):
+        big_l = horner([1.0 / m for m in range(j_max + 1, 0, -1)], phi) * phi
+        live = (j_max + 1) * np.log(phi) + x > math.log(1e-19) + math.log(j_max + 2)
+        want = np.where(live, (x - big_l) / phi, 0.0) / x
+        assert np.array_equal(_hasse_tail_kernel(j_max)(x), want)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from stieltjes import alteta, bellpoly, core, quad, specfun
 
 BAD_CALLS = [
     # specfun
-    "constant_table(2.5)",
-    "ConstantTable.zeta(constant_table(), 2.5)",
     "log_gamma(inf)",
     "log_gamma(nan)",
     "digamma(inf)",
@@ -58,7 +56,6 @@ BAD_CALLS = [
     "gamma_coffey(0, nan)",
     "gamma_coffey(3, 1e-300)",
     "gamma_hasse(3, 1e-300)",
-    "bell_family_coefficients(2.5)",
     "gamma_bell_family(2.5)",
     "gamma_bell_family(0, inf)",
     "gamma_bell_family(0, nan)",

@@ -17,6 +17,7 @@ from stieltjes import (
     gamma_coffey,
     gamma_hasse,
     i_n_integral,
+    run_suite,
 )
 from stieltjes import core, quad
 
@@ -97,6 +98,16 @@ def test_second_hasse_call_reuses_the_kernel_tables():
     after = quad._kernel_on_nodes.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
+
+
+def test_second_stieltjes_suite_run_makes_no_kernel_miss():
+    """The suite's kernels are long-lived objects, the B - 1/2 kernel of the
+    stieltjes.bare_kernel checks included, so a second run finds every
+    kernel table kept."""
+    run_suite("stieltjes")
+    misses = quad._kernel_on_nodes.cache_info().misses
+    run_suite("stieltjes")
+    assert quad._kernel_on_nodes.cache_info().misses == misses
 
 
 def test_hasse_logs_are_shared_by_a_table_at_one_u():

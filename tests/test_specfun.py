@@ -1,4 +1,4 @@
-"""Tests for the base special functions and the shared constant table."""
+"""Tests for the base special functions."""
 
 import math
 import subprocess
@@ -9,7 +9,6 @@ import pytest
 
 import stieltjes
 from stieltjes import (
-    constant_table,
     digamma,
     hurwitz_zeta_series,
     log_gamma,
@@ -17,36 +16,6 @@ from stieltjes import (
 )
 
 import refs
-
-
-# ---------------------------------------------------------------------------
-# constant table
-
-
-def test_constant_table_scalars():
-    table = constant_table()
-    assert abs(table.euler_gamma - refs.CONST["euler_gamma"]) < 5e-16
-    assert abs(table.log_2 - refs.CONST["log_2"]) < 5e-16
-    assert abs(table.log_2pi - refs.CONST["log_2pi"]) < 5e-16
-
-
-@pytest.mark.parametrize("k", range(2, 14))
-def test_constant_table_zeta(k):
-    assert abs(constant_table().zeta(k) - refs.ZETA_INT[k]) < 5e-16 * max(1.0, refs.ZETA_INT[k])
-
-
-def test_constant_table_bounds():
-    table = constant_table()
-    with pytest.raises(ValueError):
-        table.zeta(1)
-    with pytest.raises(ValueError):
-        table.zeta(table.k_max + 1)
-    with pytest.raises(ValueError):
-        constant_table(1)
-
-
-def test_constant_table_is_cached():
-    assert constant_table() is constant_table()
 
 
 # ---------------------------------------------------------------------------
