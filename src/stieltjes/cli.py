@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
         "--limit-terms",
         type=int,
         default=10**6,
-        help="partial-sum length for the limit method",
+        help="partial-sum length for the limit method (memory does not grow with it)",
     )
     p_gamma.set_defaults(func=_cmd_gamma)
 

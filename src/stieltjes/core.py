@@ -6,22 +6,34 @@ s = 1,
     zeta(s, u) = 1/(s-1) + sum_{n>=0} (-1)^n gamma_n(u) (s-1)^n / n!,
 
 with gamma_0(u) = -psi(u) and gamma_n = gamma_n(1) the classical Stieltjes
-constants.  Four computational routes are provided and cross-validated,
-three of them mathematically independent:
+constants.  Five computational routes are provided and cross-validated.
+What a vote proves depends on what the routes share:
 
-* :func:`gamma_hasse`      -- the globally convergent binomial double series,
-* :func:`gamma_coffey`     -- a Hermite-type contour integral (real form),
+* :func:`gamma_hasse`      -- the globally convergent binomial double series:
+                              an exact head plus a tail that is a c_k
+                              convolution of kernel moments
+                              (``_moment_convolution``),
+* :func:`gamma_coffey`     -- a Hermite-type contour integral (real form);
+                              no c_k, so independent of Hasse and Bell,
 * :func:`gamma_bell_family`-- Laplace-kernel integrals weighted by the
-                              reciprocal-gamma derivative coefficients c_k,
+                              reciprocal-gamma derivative coefficients c_k;
+                              shares the c_k table and
+                              ``_moment_convolution`` with Hasse, and its
+                              boundary terms with Coffey,
 * :func:`gamma_brede`      -- the Appell-polynomial weighted integral (u = 1),
                               the u = 1 Bell-family integral with the c_k sum
-                              moved inside, so not an independent vote.
+                              moved inside, so not an independent vote,
+* :func:`gamma_limit`      -- the Euler-Maclaurin-accelerated defining limit
+                              (u = 1, n <= 8); it shares nothing with the
+                              others, but at 10^6 terms its error grows from
+                              1e-13 at n = 0 to 5e-5 at n = 8.
 
-Around them sit the objects they certify: the Brede polynomials p_n, the
-inversion identity tying gamma-values to pure log-power integrals I_n, the
-zeta derivatives at s = 0 (log-gamma / Binet, second derivative, Barnes G),
-two analytic continuations of zeta(s, u) (Hermite and Laplace forms), and
-the Euler-Maclaurin-accelerated defining limit.
+All five but the limit run on the one quadrature engine in :mod:`.quad`, and
+Hasse, Coffey and Bell share one small-u shift.  Around them sit the objects
+they certify: the Brede polynomials p_n, the inversion identity tying
+gamma-values to pure log-power integrals I_n, the zeta derivatives at s = 0
+(log-gamma / Binet, second derivative, Barnes G), and two analytic
+continuations of zeta(s, u) (Hermite and Laplace forms).
 
 Every numerical op returns :class:`MethodResult` with an honest (heuristic)
 error estimate, the evaluation count, and cancellation / convergence flags.
@@ -224,14 +236,18 @@ def _shift_term(n: int, u: float) -> float:
     return lg**n / u
 
 
-def _small_u_shift(n: int, u: float) -> Tuple[float, float]:
-    """(log^n(u)/u, u + 1) where log^n(u)/u^2 exceeds 1e300, else (0, u):
-    the term a u-route adds and the argument it integrates at, by the exact
-    shift gamma_n(u) = gamma_n(u+1) + log^n(u)/u."""
+def _small_u_shift(n: int, u: float) -> Tuple[float, float, float]:
+    """(log^n(u)/u, its roundoff, u + 1) where log^n(u)/u^2 exceeds 1e300,
+    else (0, 0, u): the term a u-route adds, what it adds to the error
+    estimate, and the argument it integrates at, by the exact shift
+    gamma_n(u) = gamma_n(u+1) + log^n(u)/u.  The roundoff is
+    (n + 1) 2^-53 |log^n(u)/u|: the n-th power multiplies the rounding of
+    log u n-fold, and the division adds one more."""
     lg = math.log(u)
     if lg < 0.0 and n * math.log(-lg) - 2.0 * lg > _PEAK_LOG_MAX:
-        return _shift_term(n, u), u + 1.0
-    return 0.0, u
+        shift = _shift_term(n, u)
+        return shift, (n + 1) * 2.0**-53 * abs(shift), u + 1.0
+    return 0.0, 0.0, u
 
 
 # --- Hasse series with exact integral tail ----------------------------------
@@ -346,14 +362,14 @@ def gamma_hasse(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> 
     :func:`gamma_coffey`.
     """
     n, u = _require_route(Method.HASSE, n, u)
-    shift, u = _small_u_shift(n, u)
+    shift, shift_estimate, u = _small_u_shift(n, u)
     head, head_term = _hasse_head(n, u, _J_MAX)
     tail, tail_estimate, tail_term, r = _moment_convolution(_hasse_tail_kernel(_J_MAX), n, u, cfg)
     value = -head / (n + 1) + tail + shift
     max_term = max(abs(value), head_term, tail_term)
-    return _result(
-        Method.HASSE, value, tail_estimate, max_term, _J_MAX + 1 + r.evaluations, r.converged, 4e-16
-    )
+    estimate = tail_estimate + shift_estimate
+    evaluations = _J_MAX + 1 + r.evaluations
+    return _result(Method.HASSE, value, estimate, max_term, evaluations, r.converged, 4e-16)
 
 
 @lru_cache(maxsize=1024)
@@ -381,7 +397,7 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
     routes; (n, u) where log^n(u)/u overflows binary64 is rejected.
     """
     n, u = _require_route(Method.COFFEY, n, u)
-    shift, u = _small_u_shift(n, u)
+    shift, shift_estimate, u = _small_u_shift(n, u)
     prefactor = _log_power_prefactor(n, u) + shift
 
     def g(x):
@@ -390,8 +406,9 @@ def gamma_coffey(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Me
 
     r = _abel_plana(g, cfg)
     max_term = max(abs(prefactor), abs(r.value))
+    estimate = r.error_estimate + shift_estimate
     return _result(
-        Method.COFFEY, prefactor + r.value, r.error_estimate, max_term, r.evaluations, r.converged
+        Method.COFFEY, prefactor + r.value, estimate, max_term, r.evaluations, r.converged
     )
 
 
@@ -413,12 +430,13 @@ def gamma_bell_family(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = Non
     gamma_n(u+1) + log^n(u)/u, as in :func:`gamma_coffey`.
     """
     n, u = _require_route(Method.BELL_FAMILY, n, u)
-    shift, u = _small_u_shift(n, u)
+    shift, shift_estimate, u = _small_u_shift(n, u)
     prefactor = _log_power_prefactor(n, u) + shift
     total, estimate, max_term, r = _moment_convolution(binet_bracket, n, u, cfg)
     max_term = max(abs(prefactor), max_term)
     return _result(
-        Method.BELL_FAMILY, prefactor + total, estimate, max_term, r.evaluations, r.converged
+        Method.BELL_FAMILY, prefactor + total, estimate + shift_estimate, max_term, r.evaluations,
+        r.converged,
     )
 
 
@@ -472,6 +490,22 @@ def gamma_brede(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
 # --- defining limit with Euler-Maclaurin correction -------------------------
 
 
+# _chunked_sum's chunk length: 2^14 binary64 terms, 128 KB per array.  At
+# 2^16 (512 KB) glibc returned each chunk's freed arrays to the OS, and
+# refaulting them made the sum three times slower.
+_SUM_CHUNK = 1 << 14
+
+
+def _chunked_sum(f, a: int, b: int) -> float:
+    """sum_{m=a}^{b} f(m) for a vectorized f, taken _SUM_CHUNK terms at a
+    time: np.sum within a chunk, math.fsum over the chunk sums.  Memory
+    does not grow with b - a."""
+    return math.fsum(
+        float(np.sum(f(np.arange(lo, min(lo + _SUM_CHUNK, b + 1), dtype=float))))
+        for lo in range(a, b + 1, _SUM_CHUNK)
+    )
+
+
 def gamma_limit(n: int, r: int) -> MethodResult:
     """gamma_n = lim_{r->inf} [sum_{m=1}^r log^n(m)/m - log^{n+1}(r)/(n+1)],
     evaluated at finite r with the first Euler-Maclaurin correction
@@ -479,20 +513,23 @@ def gamma_limit(n: int, r: int) -> MethodResult:
     to O(log^{n+1} r / r^2).
 
     The error estimate is |value(r) - value(r/2)|, an honest upper-bound
-    proxy for the remaining truncation error.
+    proxy for the remaining truncation error.  Terms 1..r/2 are summed once
+    and shared by both values, in fixed-size chunks, so memory does not
+    depend on r.
     """
     n = _require_route(Method.LIMIT, n, 1.0)[0]
     r = _require_order(r, "r", _LIMIT_MIN_TERMS)
-    m = np.arange(1, r + 1, dtype=float)
-    lg = np.log(m)
-    terms = lg**n / m
 
-    def assemble(rr: int) -> float:
-        lr = lg[rr - 1]
-        return float(np.sum(terms[:rr])) - lr ** (n + 1) / (n + 1) - lr**n / (2.0 * rr)
+    def term(m):
+        return np.log(m) ** n / m
 
-    value = assemble(r)
-    return _result(Method.LIMIT, value, abs(value - assemble(r // 2)), 0.0, r)
+    def assemble(partial: float, rr: int) -> float:
+        lr = math.log(rr)
+        return partial - lr ** (n + 1) / (n + 1) - lr**n / (2.0 * rr)
+
+    half = _chunked_sum(term, 1, r // 2)
+    value = assemble(half + _chunked_sum(term, r // 2 + 1, r), r)
+    return _result(Method.LIMIT, value, abs(value - assemble(half, r // 2)), 0.0, r)
 
 
 # --- inversion / positivity machinery ---------------------------------------
@@ -692,7 +729,8 @@ def delta_n(n: int, m: int = 1_000_000) -> Tuple[float, float]:
 
     Returned as (limit form, closed form).  For n = 0 the partial sum
     telescopes to 1/2 at every m; for n = 1 the limit converges like
-    O(1/m).
+    O(1/m), and sum log k is taken in fixed-size chunks, so memory does
+    not depend on m.
     """
     n = _require_order(n, "n", 0, 1)
     m = _require_order(m, "m", 10)
@@ -701,8 +739,7 @@ def delta_n(n: int, m: int = 1_000_000) -> Tuple[float, float]:
         limit_form = float(m) - (m - 1.0) - 0.5
         closed_form = 0.5  # (-1)^0 [zeta(0) + 0!] = -1/2 + 1
     else:
-        k = np.arange(1, m + 1, dtype=float)
-        log_sum = float(np.sum(np.log(k)))
+        log_sum = _chunked_sum(np.log, 1, m)
         integral = m * math.log(m) - m + 1.0
         limit_form = log_sum - integral - 0.5 * math.log(m)
         closed_form = -(zeta_prime0(1.0) + 1.0)

@@ -8,6 +8,7 @@ Barnes-function evaluators and the inversion/moment identities follow.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -219,6 +220,21 @@ def test_u_routes_share_the_small_u_shift(route, n, u):
     assert abs(r.value - ref) <= 1e-15 * abs(ref)
 
 
+@pytest.mark.parametrize("route", [gamma_hasse, gamma_coffey, gamma_bell_family])
+def test_small_u_shift_estimate_covers_the_rounded_log(route):
+    """Where the shift fires, log u rounded to binary64 and raised to the
+    n-th power puts ~n ulps of error on log^n(u)/u, which the estimate must
+    count.  The reference is log^n(u)/u at 40 digits plus gamma_n(1): at
+    u = 1e-140, gamma_n(1 + u) - gamma_n(1) is far below one ulp."""
+    n, u = 12, 1e-140
+    r = route(n, u)
+    with mp.workdps(40):
+        ref = mp.log(mp.mpf(u)) ** n / mp.mpf(u) + refs.GAMMA_AT_1[n]
+        err = float(abs(mp.mpf(r.value) - ref))
+    assert not r.flags
+    assert err <= r.error_estimate
+
+
 @pytest.mark.parametrize(
     "route,n,u",
     [(gamma_coffey, 3, 1e-300), (gamma_coffey, 41, 1e-200), (gamma_hasse, 3, 1e-300),
@@ -340,6 +356,47 @@ def test_limit_route_domain():
         gamma_limit(9, 10**6)
     with pytest.raises(ValueError):
         gamma_limit(0, 5)
+
+
+def _limit_term(m):
+    return np.log(m) / m
+
+
+_CHUNK = core._SUM_CHUNK
+
+
+@pytest.mark.parametrize("a,b", [(1, _CHUNK), (1, _CHUNK + 1), (_CHUNK, 2 * _CHUNK + 3)])
+def test_chunked_sum_matches_fsum_across_chunk_edges(a, b):
+    """The chunked sum against math.fsum over the whole term list, on ranges
+    that end on, end one past, and straddle a chunk edge."""
+    ref = math.fsum(_limit_term(np.arange(a, b + 1, dtype=float)).tolist())
+    assert abs(core._chunked_sum(_limit_term, a, b) - ref) <= 2.0 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("r", [2 * _CHUNK + 1, 2 * _CHUNK + 3, 3 * _CHUNK])
+def test_limit_route_matches_the_exact_partial_sum(r):
+    """gamma_limit(1, r) against the whole term list added by math.fsum.
+    The shared partial sum ends at r/2: on a chunk edge, one past it, and
+    inside a chunk."""
+    partial = math.fsum(_limit_term(np.arange(1, r + 1, dtype=float)).tolist())
+    lr = math.log(r)
+    ref = partial - lr**2 / 2.0 - lr / (2.0 * r)
+    assert abs(gamma_limit(1, r).value - ref) <= 2.0 * math.ulp(partial)
+
+
+def test_limit_sums_do_not_grow_with_the_length():
+    """gamma_limit and delta_n allocate the same few chunks at any length;
+    a whole-length array would be 8 MB per array at 10^6 terms."""
+    gamma_limit(1, 10)
+    delta_n(1, 10)  # fills the per-process tables zeta_prime0 reads
+    for call in (lambda: gamma_limit(1, 10**6), lambda: delta_n(1, 10**6)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------
