@@ -162,6 +162,9 @@ def _cmd_gamma(args) -> int:
     n, u = args.order, args.argument
     if args.method == "all":
         selected = [m for m, envelope in ENVELOPES.items() if envelope.admits(n, u)]
+        if not selected:
+            top = max(envelope.max_n for envelope in ENVELOPES.values())
+            raise ValueError(f"no route is defined at n = {n}: every route needs n <= {top}")
     else:
         selected = [Method(args.method)]
     for method in selected:

@@ -146,22 +146,24 @@ class MethodResult:
 
 
 class _Envelope(NamedTuple):
-    """A route's domain: n <= max_n (None: no cap) and that one u (None: any u > 0)."""
+    """A route's domain: n <= max_n and that one u (None: any u > 0)."""
 
-    max_n: Optional[int]
+    max_n: int
     u: Optional[float]
 
     def admits(self, n: int, u: float) -> bool:
-        return (self.max_n is None or n <= self.max_n) and (self.u is None or u == self.u)
+        return n <= self.max_n and (self.u is None or u == self.u)
 
 
 # Each gamma_n(u) route's domain.  Hasse and Bell-family need c_k for k <= n,
-# tabulated to _MAX_DERIVATIVE; Coffey needs none (measured against
-# mp.stieltjes to n = 40 over u in [0.1, 10]); Brede and the limit are u = 1
-# forms with the caps their tests cover.
+# tabulated to _MAX_DERIVATIVE.  Coffey needs none, but at n >= 100 numpy's
+# complex power log(z)**n changes algorithm and the integrand fails in the
+# engine for every u <= 0.1 tried; to n = 99 nothing fails over
+# u in [1e-300, 1e3].  Brede and the limit are u = 1 forms with the caps
+# their tests cover.
 ENVELOPES = MappingProxyType({
     Method.HASSE: _Envelope(_MAX_DERIVATIVE, None),
-    Method.COFFEY: _Envelope(None, None),
+    Method.COFFEY: _Envelope(99, None),
     Method.BELL_FAMILY: _Envelope(_MAX_DERIVATIVE, None),
     Method.BREDE: _Envelope(10, 1.0),
     Method.LIMIT: _Envelope(8, 1.0),
@@ -289,22 +291,42 @@ def _hasse_logs(u: float, j_max: int, dps: int) -> tuple:
         return tuple(mp.log(um + k) for k in range(j_max + 1))
 
 
-def _hasse_head(n: int, u: float, j_max: int) -> Tuple[float, float]:
-    """sum_{j=0}^{J} [1/(j+1)] sum_k C(j,k)(-1)^k log^{n+1}(u+k), and the
-    largest |partial term|/(n+1) seen (for the cancellation diagnostic).
+@lru_cache(maxsize=4)
+def _hasse_weights(j_max: int) -> Tuple[int, Tuple[int, ...]]:
+    """(L, W_0..W_J) with L = lcm(1..J+1) and the exact integer weights
+    W_k = (-1)^k sum_{j=k}^{J} C(j,k) L/(j+1), so that
+    sum_{j<=J} [L/(j+1)] sum_k C(j,k)(-1)^k a_k = sum_k W_k a_k.
+    Built on the first Hasse call, not at import (~3 ms at J = 120)."""
+    lcm = math.lcm(*range(1, j_max + 2))
+    return lcm, tuple(
+        (-1) ** k * sum(comb(j, k) * (lcm // (j + 1)) for j in range(k, j_max + 1))
+        for k in range(j_max + 1)
+    )
 
-    The inner alternating binomial sums are iterated forward differences of
-    the sequence log^{n+1}(u+k).  The table is computed in mpmath and rounded
-    once to fixed point with ``prec`` fractional bits; the differences and
-    the sum over j (over the common denominator lcm(1..J+1)) are then exact
-    integer arithmetic, and one correctly rounded int/int division gives the
-    binary64 head.  That table rounding is the only error: at most half a
-    fixed-point ulp per entry, which the j-th difference amplifies by at most
-    2^j.  Each difference order thus costs ~0.30 decimal digits, so the
-    working precision grows linearly with j_max.  This fixed-point head is
-    bit-identical to the same differences done in mpf at this precision, and
-    so is every gamma_hasse value built on it; a different dps could move
-    the last bit of a head that sits near a binary64 rounding boundary.
+
+def _hasse_head(n: int, u: float, j_max: int) -> float:
+    """sum_{j=0}^{J} [1/(j+1)] sum_k C(j,k)(-1)^k log^{n+1}(u+k).
+
+    The table a_k = log^{n+1}(u+k) is computed in mpmath and rounded once to
+    fixed point with ``prec`` fractional bits.  Over the common denominator
+    L = lcm(1..J+1) the double sum regroups into one fixed weight per entry,
+    sum_k W_k a_k (``_hasse_weights``), an exact integer dot product, and
+    one correctly rounded int/int division gives the binary64 head.  That
+    is the same integer the iterated forward differences of the table give,
+    so the head is bit-identical to those differences done in mpf at this
+    precision, and so is every gamma_hasse value built on it; a different
+    dps could move the last bit of a head that sits near a binary64
+    rounding boundary.
+
+    The partial terms are exact integers, so the only errors are the
+    table's and the final rounding.  Each entry is off by at most
+    (n + 3) 2^-prec max(1, |a_k|) (the rounded log, its power and the
+    fixed-point cut), and sum_k |W_k|/L = sum_j 2^j/(j+1) <= 2^J, so the
+    head is within (n + 3) 2^(J - prec) max(1, |a_k|) of the exact sum:
+    below 2e-25 of the largest entry at J = 120 (prec = 206) for n <= 12.
+    The working precision grows with j_max (~0.30 digits per order) to pay
+    for that 2^J.  The rounded head is the only binary64 intermediate, so
+    it alone enters gamma_hasse's roundoff term.
     """
     dps = int(0.302 * j_max) + 25
     with mp.workdps(dps):
@@ -312,16 +334,8 @@ def _hasse_head(n: int, u: float, j_max: int) -> Tuple[float, float]:
         table = [
             mp.libmp.to_fixed((lg ** (n + 1))._mpf_, prec) for lg in _hasse_logs(u, j_max, dps)
         ]
-    lcm = math.lcm(*range(1, j_max + 2))
-    total = 0
-    max_term = 0.0
-    for j in range(j_max + 1):
-        d = table[0]
-        total += d * (lcm // (j + 1))
-        max_term = max(max_term, abs(d / ((j + 1) << prec)) / (n + 1))
-        for k in range(j_max - j):
-            table[k] -= table[k + 1]
-    return total / (lcm << prec), max_term
+    lcm, weights = _hasse_weights(j_max)
+    return sum(map(int.__mul__, table, weights)) / (lcm << prec)
 
 
 def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
@@ -347,8 +361,8 @@ def gamma_hasse(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> 
 
     The outer terms decay only like ~1/(j^{u+1} log j), far too slowly to
     truncate at any affordable j, so the series is split exactly: terms
-    j <= J = _J_MAX are summed as written (iterated forward differences in
-    exact fixed-point integers), and the infinite remainder is resummed in
+    j <= J = _J_MAX are summed exactly (one fixed-point integer dot product,
+    see ``_hasse_head``), and the infinite remainder is resummed in
     closed form through its integral representation
 
         sum_{j>J} (...)  =  -(-1)^{n+1} sum_{m=0}^{n} C(n,m) c_m
@@ -363,10 +377,10 @@ def gamma_hasse(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> 
     """
     n, u = _require_route(Method.HASSE, n, u)
     shift, shift_estimate, u = _small_u_shift(n, u)
-    head, head_term = _hasse_head(n, u, _J_MAX)
+    head = -_hasse_head(n, u, _J_MAX) / (n + 1)
     tail, tail_estimate, tail_term, r = _moment_convolution(_hasse_tail_kernel(_J_MAX), n, u, cfg)
-    value = -head / (n + 1) + tail + shift
-    max_term = max(abs(value), head_term, tail_term)
+    value = head + tail + shift
+    max_term = max(abs(value), abs(head), tail_term)
     estimate = tail_estimate + shift_estimate
     evaluations = _J_MAX + 1 + r.evaluations
     return _result(Method.HASSE, value, estimate, max_term, evaluations, r.converged, 4e-16)

@@ -66,6 +66,16 @@ def test_gamma_hasse_beyond_table_is_usage_error_without_warning(capsys):
     assert "n <= 12" in err and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("method", ["coffey", "all"])
+def test_gamma_past_every_envelope_is_usage_error(method, capsys):
+    """n = 500 is past Coffey's cap n <= 99, the highest of any route: one
+    route or all, the request is refused with exit 64 and no results."""
+    assert main(["gamma", "-n", "500", "--method", method]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n <= 99" in captured.err
+
+
 def test_gamma_json_schema(tmp_path, capsys):
     path = tmp_path / "gamma.json"
     assert main(["gamma", "-n", "1", "-u", "1", "--json", str(path)]) == EX_OK

@@ -41,7 +41,13 @@ from stieltjes import (
     zeta_second0,
 )
 from stieltjes import core, quad
-from stieltjes.core import _hasse_head, _hasse_tail_kernel, _moment_convolution, _require_route
+from stieltjes.core import (
+    _hasse_head,
+    _hasse_tail_kernel,
+    _hasse_weights,
+    _moment_convolution,
+    _require_route,
+)
 from stieltjes.quad import _abel_plana, binet_bracket, binet_bracket_over_v
 from stieltjes.specfun import BERN_OVER_FACT
 
@@ -67,11 +73,10 @@ def test_envelopes_bound_each_route():
     rejects the next n and any other u."""
     for method, envelope in ENVELOPES.items():
         u = envelope.u or 2.0
-        top = 40 if envelope.max_n is None else envelope.max_n
+        top = envelope.max_n
         assert _require_route(method, top, u) == (top, u)
-        if envelope.max_n is not None:
-            with pytest.raises(ValueError, match=f"n <= {envelope.max_n}"):
-                _require_route(method, top + 1, u)
+        with pytest.raises(ValueError, match=f"n <= {top}"):
+            _require_route(method, top + 1, u)
         if envelope.u is not None:
             with pytest.raises(ValueError, match="at u = 1"):
                 _require_route(method, 0, 2.0)
@@ -80,9 +85,9 @@ def test_envelopes_bound_each_route():
 @pytest.mark.parametrize("u", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("n", [13, 20, 40])
 def test_coffey_beyond_table_matches_mpmath(n, u):
-    """Coffey has no order cap: past the c_k table it still matches
-    mp.stieltjes at 30 digits, and warns of nothing.  Its estimate is not
-    asserted; it under-reports at several of these points."""
+    """Coffey needs no c_k table: past it it still matches mp.stieltjes at
+    30 digits, and warns of nothing.  Its estimate is not asserted; it
+    under-reports at several of these points."""
     with mp.workdps(30):
         ref = float(mp.stieltjes(n, u))
     with warnings.catch_warnings():
@@ -90,6 +95,43 @@ def test_coffey_beyond_table_matches_mpmath(n, u):
         r = gamma_coffey(n, u)
     assert not r.flags
     assert abs(r.value - ref) < _scaled(ref, 1e-12)
+
+
+@pytest.mark.parametrize("u", [0.1, 1.0, 10.0])
+def test_coffey_answers_at_its_cap(u):
+    """n = 99, the top of Coffey's envelope, still matches mp.stieltjes."""
+    with mp.workdps(30):
+        ref = float(mp.stieltjes(99, u))
+    r = gamma_coffey(99, u)
+    assert not r.flags
+    assert abs(r.value - ref) < 1e-12 * abs(ref)
+
+
+def test_coffey_past_its_cap_is_rejected_when_checked():
+    """At n = 100 numpy's complex power changes algorithm and the integrand
+    fails in the engine for u <= 0.1: the request check refuses n = 100 at
+    every u, with a ValueError, before any quadrature."""
+    for u in (1e-6, 0.1, 1.0, 10.0):
+        with pytest.raises(ValueError, match="n <= 99") as excinfo:
+            gamma_coffey(100, u)
+        assert excinfo.type is ValueError
+
+
+@pytest.mark.parametrize("n", [13, 40, 70, 95, 99])
+def test_coffey_never_fails_in_the_engine_below_its_cap(n):
+    """Over u in logspace(-300, 3, 68) every n <= 99 either answers,
+    converged and unflagged, or is refused by the request check because
+    log^n(u)/u overflows binary64; none raises IntegrandError."""
+    answered = 0
+    for u in np.logspace(-300, 3, 68):
+        try:
+            r = gamma_coffey(n, float(u))
+        except ValueError as exc:
+            assert type(exc) is ValueError and "overflows binary64" in str(exc)
+            continue
+        assert r.converged and not r.flags, (n, u)
+        answered += 1
+    assert answered >= 19
 
 
 @pytest.mark.parametrize("route", [gamma_hasse, gamma_bell_family])
@@ -127,6 +169,14 @@ def test_hasse_full_grid(n, u):
     assert abs(r.value - ref) < _scaled(ref, 5e-12)
 
 
+def test_hasse_estimate_covers_the_reference_error():
+    """At every refs.GAMMA point the Hasse error is within its estimate plus
+    one rounding of the reference to binary64 (1.2e-16 |ref|)."""
+    for (n, u), ref in sorted(refs.GAMMA.items()):
+        r = gamma_hasse(n, u)
+        assert abs(r.value - ref) <= r.error_estimate + 1.2e-16 * abs(ref), (n, u)
+
+
 @pytest.mark.parametrize("n,u", [(2, 0.75), (12, 0.1), (12, 0.75), (12, 10.0)])
 def test_hasse_series_depth_independence(n, u, monkeypatch):
     """The head-plus-tail split is exact: the result must not move with the
@@ -145,14 +195,11 @@ def _hasse_head_mpf(n, u, j_max):
         um = mp.mpf(u)
         table = [mp.log(um + k) ** (n + 1) for k in range(j_max + 1)]
         head = mp.mpf(0)
-        max_term = 0.0
         for j in range(j_max + 1):
-            term = table[0] / (j + 1)
-            head += term
-            max_term = max(max_term, abs(float(term)) / (n + 1))
+            head += table[0] / (j + 1)
             for k in range(j_max - j):
                 table[k] = -(table[k + 1] - table[k])
-        return float(head), max_term
+        return float(head)
 
 
 @pytest.mark.parametrize("j_max", [0, 1, 20, 120, 150])
@@ -161,6 +208,23 @@ def test_hasse_head_matches_mpf_differences(j_max):
     for n in range(13):
         for u in (1e-3, 0.1, 0.37, 1.0, 3.3, 10.0, 100.0):
             assert _hasse_head(n, u, j_max) == _hasse_head_mpf(n, u, j_max), (n, u)
+
+
+@pytest.mark.parametrize("j_max", [0, 1, 2, 20, 120])
+def test_hasse_weights_match_the_difference_loop(j_max):
+    """Each weight W_k is the O(J^2) integer difference loop, sum over j of
+    L/(j+1) times the j-th forward difference at 0, run on the k-th unit
+    vector."""
+    lcm, weights = _hasse_weights(j_max)
+    assert lcm == math.lcm(*range(1, j_max + 2)) and len(weights) == j_max + 1
+    for k, weight in enumerate(weights):
+        table = [int(i == k) for i in range(j_max + 1)]
+        total = 0
+        for j in range(j_max + 1):
+            total += table[0] * (lcm // (j + 1))
+            for i in range(j_max - j):
+                table[i] -= table[i + 1]
+        assert weight == total, k
 
 
 def test_gamma_value_is_cached_float():
