@@ -2,8 +2,9 @@
 The double-exponential quadrature engine
 ========================================
 
-Every integral in the package flows through one deterministic tanh-sinh /
-exp-sinh engine with an explicit error-estimate and failure contract.  This
+Every integral in the package flows through one deterministic
+double-exponential engine, whose exp-sinh nodes finite intervals take as
+tanh-sinh, with an explicit error-estimate and failure contract.  This
 script shows its behavior on benign and endpoint-singular integrands, the
 honest error estimates, and what happens when an integrand misbehaves.
 """

@@ -29,6 +29,8 @@ import math
 from math import comb
 from typing import Tuple
 
+import numpy as np
+
 from .core import gamma_value, hurwitz_hermite
 from .specfun import _require_finite, _require_order, _require_positive, digamma
 
@@ -55,9 +57,9 @@ def alt_zeta(s: float, x: float) -> float:
         zeta_a(s, x) = 2^{-s} [zeta(s, x/2) - zeta(s, (1+x)/2)],
 
     with both Hurwitz values from the Hermite integral, so every real
-    s != 1 is reachable.  At s = 1 the poles of the two Hurwitz terms
-    cancel and the limit (1/2)[psi((1+x)/2) - psi(x/2)] is returned
-    (log 2 at x = 1).
+    s != 1 down to its edge s = -18 is reachable.  At s = 1 the poles of
+    the two Hurwitz terms cancel and the limit (1/2)[psi((1+x)/2) -
+    psi(x/2)] is returned (log 2 at x = 1).
     """
     s = _require_finite(s, "s")
     x = _require_positive(x, "x")
@@ -74,16 +76,16 @@ def alt_zeta_hasse(s: float, x: float, n: int = 0, *, i_max: int = 120) -> float
     which equals (-1)^n zeta_a^{(n)}(s, x) (each s-derivative of
     (x+j)^{-s} contributes one factor -log(x+j)).  The inner alternating
     sums are iterated forward differences of a_j = log^n(x+j)/(x+j)^s,
-    updated in place; the geometric 2^{-(i+1)} damping keeps binary64
-    rounding noise near 1e-14 out to i ~ 100, so no extended precision is
-    needed.  Truncates once the damped term magnitude stays below 1e-15
+    one numpy difference per step; the geometric 2^{-(i+1)} damping keeps
+    binary64 rounding noise near 1e-14 out to i ~ 100, so no extended
+    precision is needed.  Truncates once the damped term magnitude stays below 1e-15
     (two consecutive terms, after a warm-up of ten), or at ``i_max``.
     """
     s = _require_finite(s, "s")
     x = _require_positive(x, "x")
     n = _require_order(n, "derivative order", 0, _MAX_DERIV)
     i_max = _require_order(i_max, "i_max")
-    table = [math.log(x + j) ** n / (x + j) ** s for j in range(i_max + 1)]
+    table = np.array([math.log(x + j) ** n / (x + j) ** s for j in range(i_max + 1)])
     total = 0.0
     weight = 0.5
     small_streak = 0
@@ -97,9 +99,8 @@ def alt_zeta_hasse(s: float, x: float, n: int = 0, *, i_max: int = 120) -> float
         else:
             small_streak = 0
         weight *= 0.5
-        for k in range(i_max - i):
-            table[k] = table[k] - table[k + 1]
-    return total
+        table = table[:-1] - table[1:]
+    return float(total)
 
 
 def alt_deriv_at_1(n: int, x: float = 1.0) -> Tuple[float, float]:

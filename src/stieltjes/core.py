@@ -660,6 +660,14 @@ def _require_hurwitz(s: float, u: float) -> Tuple[float, float]:
     return s, u
 
 
+# Below this s Hermite's integral cancels against the boundary terms.  Worst
+# |h - zeta|/max(1, |zeta|) against 80-digit mpmath.zeta over u in [0.1, 100]
+# (a 0.01 grid to u = 4, 59 log-spaced u to 100 and every real zero of
+# zeta(s, u) there) at 119 s in [-20, -1]: at most 4.6e-11 for s >= -18,
+# then 1.2e-10 at -18.9, 3.5e-10 at -19 and 9.3e-10 at -20.
+_HERMITE_S_MIN = -18.0
+
+
 def _hurwitz(s: float, u: float, integral) -> float:
     """zeta(s, u), ``integral`` run at u >= 1 only: zeta(s, u) = u^{-s} + zeta(s, u + 1) below 1."""
     if u < 1.0:
@@ -677,10 +685,15 @@ def hurwitz_hermite(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
     with u^{-s} factored out of the integral so that its size does not fall
     below the engine's absolute convergence test at large s.  u < 1 goes by
     the shift zeta(s, u) = u^{-s} + zeta(s, u + 1); (s, u) where u^{-s} or
-    u^{1-s} overflows binary64 is rejected.  Below s ~ -10 the integral
-    cancels against the boundary terms and digits are lost.
+    u^{1-s} overflows binary64 is rejected.  As s falls the integral cancels
+    against the boundary terms, so s < -18 (``_HERMITE_S_MIN``) is rejected
+    too: from s ~ -18.9 the error passes 1e-10 of max(1, |zeta|).
     """
     s, u = _require_hurwitz(s, u)
+    if s < _HERMITE_S_MIN:
+        raise ValueError(
+            f"s < {_HERMITE_S_MIN:g} loses Hermite's integral to cancellation, got s = {s!r}"
+        )
 
     def integral(v):
         r = _abel_plana(

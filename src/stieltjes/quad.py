@@ -1,11 +1,13 @@
 """Deterministic double-exponential quadrature with an error-estimate contract.
 
-Finite intervals use the tanh-sinh transform x = c + (h/2)(b-a) tanh(lambda
-sinh t); the semi-axis [0, inf) uses exp-sinh, x = exp(lambda sinh t), with
-lambda = pi/2.  Node density doubles per refinement level; the absolute
-difference between the two finest levels is reported (honestly, as a
-heuristic) in ``QuadResult.error_estimate``.  Convergence is declared when
-successive levels differ by at most ``target_tol * max(1, |S|)``.
+One node family serves every integral: exp-sinh on the semi-axis [0, inf),
+y = exp(lambda sinh t) with lambda = pi/2.  A finite interval (a, b) is its
+image under y^2/(1 + y^2) = (1 + tanh(lambda sinh t))/2, which is tanh-sinh
+on the same t lattice (Takahasi & Mori 1974).  Node density doubles per
+refinement level; the absolute difference between the two finest levels is
+reported (honestly, as a heuristic) in ``QuadResult.error_estimate``.
+Convergence is declared when successive levels differ by at most
+``target_tol * max(1, |S|)``.
 
 Integrands must be vectorized: f(x) takes the whole node array and returns
 one row of samples, shape (len(x),), or a stack of k rows, (k, len(x)); any
@@ -17,12 +19,14 @@ test, exactly as if it had been integrated alone.
 Numerical policy, all consequences of binary64:
 
 * Abscissas near finite endpoints are generated from their *distance* to the
-  endpoint (d = (b-a)/(e^{2z}+1), z = lambda sinh t), so nodes approach the
-  endpoints to ~1e-300 instead of collapsing at ~1e-16.  Nodes whose computed
-  abscissa still rounds onto an endpoint are dropped; for integrable
-  *logarithmic* endpoint singularities the dropped mass is below 1e-15, while
-  hard algebraic singularities (x^{-1/2} style) floor around 1e-10.
-* Node generation stops where the transformed weight underflows 1e-300;
+  nearer endpoint, (b-a) s with s = r^2/(1 + r^2) and r = min(y, 1/y), so
+  nodes approach the endpoints to ~1e-300 instead of collapsing at ~1e-16.
+  Nodes whose computed abscissa still rounds onto an endpoint are dropped;
+  for integrable *logarithmic* endpoint singularities the dropped mass is
+  below 1e-15, while hard algebraic singularities (x^{-1/2} style) floor
+  around 1e-10.
+* Node generation stops where the transformed weight underflows 1e-300: on
+  the semi-axis's decaying side, and on a finite interval where s does;
   on the semi-axis's growing side abscissas are capped at e^668 so the
   weight x*lambda*cosh(t) stays finite, and the integrand's required
   exponential decay has underflowed to exactly 0 long before that cap.
@@ -74,10 +78,9 @@ _LAMBDA = math.pi / 2.0
 # Abscissa cap exp(668) for exp-sinh: keeps x and x*lambda*cosh(t) finite.
 _ES_ABSCISSA_LOG_CAP = 668.0
 _MIN_TOL = 1e-15
-# Weight-underflow threshold that ends node generation on a decaying side.
+# Weight-underflow threshold that ends node generation on a decaying side,
+# and the least distance to an endpoint, over b - a, of a finite node.
 _TRUNCATION_GUARD = 1e-300
-# tanh-sinh: the weight underflows the guard once 2 lambda sinh t ~ -log(guard).
-_TS_T_MAX = math.asinh(-0.5 * math.log(_TRUNCATION_GUARD) / _LAMBDA)
 # exp-sinh: the weight ~ e^z on the decaying side, x = e^z on the growing one.
 _ES_T_LO = -math.asinh(-math.log(_TRUNCATION_GUARD) / _LAMBDA)
 _ES_T_HI = math.asinh(min(-math.log(_TRUNCATION_GUARD), _ES_ABSCISSA_LOG_CAP) / _LAMBDA)
@@ -146,23 +149,6 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-@lru_cache(maxsize=None)
-def _level_grid(level: int, t_lo: float, t_hi: float) -> np.ndarray:
-    """Multiples of h = 2^-level in [t_lo, t_hi]; only odd ones for level >= 1.
-
-    Level 0 supplies the integer grid; each later level supplies exactly the
-    new nodes of the halved step, so the union over levels 0..L is the full
-    grid of step 2^-L.  Read-only; look it up through :func:`_kept`.
-    """
-    h = 2.0 ** (-level)
-    k_min = int(math.ceil(t_lo / h))
-    k_max = int(math.floor(t_hi / h))
-    k = np.arange(k_min, k_max + 1)
-    if level >= 1:
-        k = k[k % 2 != 0]
-    return _read_only(k * h)[0]
-
-
 def _eval_samples(sample: Callable, x: np.ndarray, level: int) -> np.ndarray:
     """Evaluate sample(x, level) on the node vector: one row of samples,
     shape (len(x),), or a stack of rows, shape (k, len(x))."""
@@ -220,32 +206,41 @@ def integrate_finite(
 
     Endpoints are never sampled; integrable endpoint singularities are
     admissible (see the module docstring for the binary64 accuracy caveats).
-    Non-finite samples raise :class:`IntegrandError`.
+    b - a must be finite and some binary64 value must lie strictly between
+    a and b.  Non-finite samples raise :class:`IntegrandError`.
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
-    half = 0.5 * (b - a)
+    width = b - a
+    if not math.isfinite(width):
+        raise ValueError(f"b - a overflows binary64, got a={a!r}, b={b!r}")
+    if math.nextafter(a, b) == b:
+        raise ValueError(f"no binary64 value lies strictly between a={a!r} and b={b!r}")
 
     def nodes(level: int):
-        t = _kept(_level_grid, level, -_TS_T_MAX, _TS_T_MAX)
-        z = _LAMBDA * np.sinh(t)
-        upper = t >= 0
-        offset = half * 2.0 / (np.exp(2.0 * np.abs(z)) + 1.0)
-        x = np.where(upper, b - offset, a + offset)
-        keep = (x > a) & (x < b)
-        t, z, x = t[keep], z[keep], x[keep]
-        return x, half * _LAMBDA * np.cosh(t) / np.cosh(z) ** 2
+        y, w = _kept(_es_nodes, level)[:2]
+        r = np.minimum(y, 1.0 / y)
+        s = r * r / (1.0 + r * r)  # distance to the nearer endpoint over b - a
+        x = np.where(y < 1.0, a + width * s, b - width * s)
+        w = width * (2.0 * s) * (1.0 - s) * (w / y)  # tanh-sinh weight
+        keep = (s >= _TRUNCATION_GUARD) & (x > a) & (x < b)
+        return x[keep], w[keep]
 
     return _refine(lambda x, level: f(x), nodes, cfg)
 
 
 @lru_cache(maxsize=None)
 def _es_nodes(level: int) -> tuple:
-    """The exp-sinh (x, w, log x) new at ``level``, read-only; look them up
-    through :func:`_kept`."""
-    t = _kept(_level_grid, level, _ES_T_LO, _ES_T_HI)
+    """The exp-sinh (x, w, log x) new at ``level``: t = k 2^-level in
+    [_ES_T_LO, _ES_T_HI], odd k only for level >= 1, so levels 0..L make the
+    full grid of step 2^-L.  Read-only; look them up through :func:`_kept`."""
+    h = 2.0 ** (-level)
+    k = np.arange(math.ceil(_ES_T_LO / h), math.floor(_ES_T_HI / h) + 1)
+    if level >= 1:
+        k = k[k % 2 != 0]
+    t = k * h
     z = _LAMBDA * np.sinh(t)
     keep = z < _ES_ABSCISSA_LOG_CAP
     t, z = t[keep], z[keep]

@@ -18,6 +18,7 @@ import pytest
 from stieltjes import (
     ENVELOPES,
     FLAG_NO_CONVERGENCE,
+    IntegrandError,
     Method,
     MethodResult,
     QuadConfig,
@@ -631,6 +632,32 @@ def test_hurwitz_domain():
         hurwitz_laplace(107.0, 1.0)  # w^s overflows on the kept nodes
     with pytest.raises(ValueError):
         hurwitz_hermite(2.0, -1.0)
+
+
+def test_hurwitz_hermite_below_its_edge_is_rejected():
+    """Just below s = -18 the cancellation against the boundary terms is
+    refused when the request is checked (1.2e-10 of max(1, |zeta|) was
+    measured at s = -18.9)."""
+    with pytest.raises(ValueError, match="cancellation"):
+        hurwitz_hermite(-18.01, 2.0)
+
+
+def test_hurwitz_hermite_far_below_its_edge_is_not_an_engine_error():
+    """(-300, 1) used to raise IntegrandError from the engine."""
+    with pytest.raises(ValueError, match="cancellation") as excinfo:
+        hurwitz_hermite(-300.0, 1.0)
+    assert not isinstance(excinfo.value, IntegrandError)
+
+
+# 1.9858946768430077 is a zero of zeta(-18, u), where the scaled error is the
+# absolute one; 0.95 and 2.0 are the worst of the edge's sweep grid.
+@pytest.mark.parametrize("u", [0.1, 0.5, 0.95, 1.0, 1.9858946768430077, 2.0, 10.0, 100.0])
+def test_hurwitz_hermite_at_its_lower_edge(u):
+    """At s = -18 Hermite's integral is within 1e-10 of max(1, |zeta|)."""
+    with mp.workdps(80):
+        ref = mp.zeta(-18.0, u)
+        err = abs(mp.mpf(hurwitz_hermite(-18.0, u)) - ref) / max(1, abs(ref))
+    assert err <= 1e-10
 
 
 # s = -0.95, the lower edge; large u, where the integral in v = w/u is tiny

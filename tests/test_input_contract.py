@@ -33,6 +33,8 @@ BAD_CALLS = [
     "QuadConfig(target_tol=inf)",
     "integrate_finite(abs, 0.0, inf)",
     "integrate_finite(abs, nan, 1.0)",
+    "integrate_finite(abs, -1e308, 1e308)",
+    "integrate_finite(abs, 5e-324, 1e-323)",
     "legendre_relation_check(inf)",
     "legendre_relation_check(nan)",
     "atan_laplace_check(inf, 1.0)",
@@ -85,6 +87,8 @@ BAD_CALLS = [
     "hurwitz_laplace(100, 1e-5)",
     "hurwitz_hermite(100, 1e-5)",
     "hurwitz_hermite(-300, 1e3)",
+    "hurwitz_hermite(-300, 1.0)",
+    "hurwitz_hermite(-18.5, 2.0)",
     "delta_n(1.5)",
     "delta_n(1, 1000.5)",
     # alteta

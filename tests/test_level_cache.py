@@ -22,7 +22,6 @@ from stieltjes import (
 from stieltjes import core, quad
 
 _CACHES = (
-    quad._level_grid,
     quad._es_nodes,
     quad._abel_weight,
     quad._kernel_on_nodes,
@@ -62,7 +61,6 @@ def test_cold_and_warm_calls_agree_bit_for_bit(call):
 
 def test_kept_arrays_are_read_only():
     arrays = [
-        quad._kept(quad._level_grid, 3, quad._ES_T_LO, quad._ES_T_HI),
         *quad._kept(quad._es_nodes, 3),
         *quad._kept(quad._abel_weight, 3),
         quad._kept(quad._kernel_on_nodes, 3, binet_bracket),
@@ -85,7 +83,7 @@ def test_levels_past_the_default_are_not_kept():
     assert not quad._abel_plana(step, cfg).converged
     kept = quad._KEPT_LEVELS + 1
     assert quad._KEPT_LEVELS == QuadConfig().max_level == 12
-    for table in (quad._level_grid, quad._es_nodes, quad._abel_weight, quad._kernel_on_nodes):
+    for table in (quad._es_nodes, quad._abel_weight, quad._kernel_on_nodes):
         assert table.cache_info().currsize == kept
 
 

@@ -8,6 +8,7 @@ offending abscissa, and exhausting ``max_level`` must clear ``converged``.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -150,7 +151,7 @@ def test_nonconvergence_is_flagged_not_raised():
 def test_level_budget_controls_accuracy():
     exact = math.e - 1.0
     shallow = integrate_finite(
-        lambda v: np.exp(v), 0.0, 1.0, QuadConfig(target_tol=1e-15, max_level=3)
+        lambda v: np.exp(v), 0.0, 1.0, QuadConfig(target_tol=1e-15, max_level=2)
     )
     deep = integrate_finite(lambda v: np.exp(v), 0.0, 1.0)
     assert abs(deep.value - exact) < 1e-13
@@ -163,9 +164,58 @@ def test_evaluation_counts_accumulate():
 
 
 def test_interval_validation():
-    for a, b in [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)]:
+    for a, b in [
+        (1.0, 1.0),
+        (2.0, 1.0),
+        (0.0, math.inf),
+        (math.nan, 1.0),
+        (-1e308, 1e308),  # b - a overflows
+        (5e-324, 1e-323),  # no binary64 value lies strictly between
+    ]:
         with pytest.raises(ValueError):
             integrate_finite(lambda v: v, a, b)
+
+
+def _tanh_sinh_closed_form(f, a, b, level):
+    """h sum f(x) w and the node count of tanh-sinh with lambda = pi/2 on
+    the full lattice t = k h, h = 2^-level, |t| <= asinh(345.4/lambda),
+    where the weight reaches 1e-300.  x = a + (b-a)(1 + tanh z)/2 and
+    w = (b-a) lambda cosh t/(2 cosh^2 z), z = lambda sinh t, are evaluated
+    at 330 digits, so 1 + tanh z keeps its digits down to 1e-300, and
+    rounded once; nodes that round onto an endpoint are dropped."""
+    h = 2.0**-level
+    k_max = math.floor(math.asinh(345.4 / (math.pi / 2)) / h)
+    x, w = [], []
+    with mp.workdps(330):
+        lam = mp.pi / 2
+        a_, b_ = mp.mpf(a), mp.mpf(b)
+        for k in range(-k_max, k_max + 1):
+            t = mp.mpf(k * h)
+            z = lam * mp.sinh(t)
+            xk = float(a_ + (b_ - a_) * (1 + mp.tanh(z)) / 2)
+            if a < xk < b:
+                x.append(xk)
+                w.append(float((b_ - a_) * lam * mp.cosh(t) / (2 * mp.cosh(z) ** 2)))
+    x = np.array(x)
+    return h * math.fsum(f(x) * np.array(w)), len(x)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (2.0, 5.0), (-3.0, 7.0), (1e-8, 1.0), (-2.0, -1.0)])
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_finite_rule_is_tanh_sinh(a, b, level):
+    """integrate_finite at max_level = L is the tanh-sinh sum of step 2^-L:
+    the same value to a few ulp and one evaluation per node.  The kink
+    keeps every level from converging, so all levels 0..L run."""
+    c = a + 0.3 * (b - a)
+
+    def f(v):
+        return 1.0 + np.abs(v - c)
+
+    r = integrate_finite(f, a, b, QuadConfig(target_tol=1e-15, max_level=level))
+    value, count = _tanh_sinh_closed_form(f, a, b, level)
+    assert not r.converged
+    assert r.evaluations == count
+    assert abs(r.value - value) <= 4 * math.ulp(value)
 
 
 def test_config_validation():
