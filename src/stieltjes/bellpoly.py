@@ -26,17 +26,17 @@ and of its reciprocal at the point 1:
 
 where psi^{(p)}(1) = (-1)^{p+1} p! zeta(p+1) and psi(1) = -gamma.  Those
 arguments alternate in sign and cancel about five digits by order 12, so
-both derivative tables are run once at 40 digits and rounded only then.
+the two derivative tables, m <= 12, are that recurrence run at 40 digits and
+rounded once; they are fixed numbers, so they are stored as binary64
+literals, and the test suite re-derives each at 40 digits, by this
+recurrence and by Taylor coefficients, and asserts exact equality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple
-
-import mpmath as mp
 
 from .specfun import _require_order
 
@@ -170,17 +170,38 @@ def bell_number(n: int) -> int:
     return eval_bell(n, [1] * n)
 
 
-@lru_cache(maxsize=None)
-def _derivative_tables() -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """(Gamma^{(m)}(1), [1/Gamma]^{(m)}(1)) for m = 0.._MAX_DERIVATIVE, each
-    a Bell recurrence at 40 digits over psi^{(p)}(1), rounded once."""
-    with mp.workdps(40):
-        psi = [mp.psi(p, 1) for p in range(_MAX_DERIVATIVE)]
-        orders = range(_MAX_DERIVATIVE + 1)
-        return (
-            tuple(float(eval_bell(m, psi)) for m in orders),
-            tuple(float(eval_bell(m, [-x for x in psi])) for m in orders),
-        )
+# Gamma^{(m)}(1) and [1/Gamma]^{(m)}(1), m = 0.._MAX_DERIVATIVE: the Bell
+# recurrence over psi^{(p)}(1) at 40 digits, rounded once (shortest repr).
+_GAMMA_DERIVATIVES = (
+    1.0,
+    -0.5772156649015329,
+    1.978111990655945,
+    -5.4448744564853175,
+    23.561474084025605,
+    -117.83940826837743,
+    715.0673625273189,
+    -5019.848872629855,
+    40243.62157333576,
+    -362526.289114655,
+    3627042.4127568947,
+    -39907084.15143134,
+    478943291.765183,
+)
+_C_K = (
+    1.0,
+    0.5772156649015329,
+    -1.3117561430405078,
+    -0.2520158102045714,
+    3.996926673174996,
+    -5.06372814666532,
+    -6.927819500071421,
+    36.38347396318202,
+    -46.9795573037575,
+    -78.1068987028334,
+    464.668864729996,
+    -803.718971313768,
+    -598.9883787359107,
+)
 
 
 def gamma_derivative_at_one(m: int) -> float:
@@ -189,7 +210,7 @@ def gamma_derivative_at_one(m: int) -> float:
     First values: -gamma; zeta(2) + gamma^2; -[2 zeta(3) + 3 gamma zeta(2)
     + gamma^3].  Capacity-limited to m <= 12 (precision, not structure).
     """
-    return _derivative_tables()[0][_require_order(m, "derivative order", 0, _MAX_DERIVATIVE)]
+    return _GAMMA_DERIVATIVES[_require_order(m, "derivative order", 0, _MAX_DERIVATIVE)]
 
 
 def inv_gamma_derivative_at_zero(k: int) -> float:
@@ -199,4 +220,4 @@ def inv_gamma_derivative_at_zero(k: int) -> float:
     are gamma, -zeta(2), 2 zeta(3), -6 zeta(4), ...  First values: 1; gamma;
     gamma^2 - zeta(2).
     """
-    return _derivative_tables()[1][_require_order(k, "derivative order", 0, _MAX_DERIVATIVE)]
+    return _C_K[_require_order(k, "derivative order", 0, _MAX_DERIVATIVE)]

@@ -49,10 +49,9 @@ from math import comb
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Tuple
 
-import mpmath as mp
 import numpy as np
 
-from .bellpoly import _MAX_DERIVATIVE, _derivative_tables, gamma_derivative_at_one
+from .bellpoly import _C_K, _MAX_DERIVATIVE, gamma_derivative_at_one
 from .quad import (
     QuadConfig,
     _abel_plana,
@@ -61,7 +60,13 @@ from .quad import (
     binet_bracket_over_v,
     integrate_semiaxis,
 )
-from .specfun import _require_finite, _require_order, _require_positive, log_gamma
+from .specfun import (
+    _LOG_MAX,
+    _require_hurwitz,
+    _require_order,
+    _require_positive,
+    log_gamma,
+)
 
 __all__ = [
     "FLAG_CANCELLATION",
@@ -92,13 +97,11 @@ _CANCELLATION_RATIO = 1e8
 _LIMIT_MIN_TERMS = 10
 # gamma_hasse's head depth J; its value does not depend on J beyond roundoff.
 _J_MAX = 120
-# log of the largest binary64: the Hurwitz evaluators reject larger u^{-s}.
-_LOG_MAX = math.log(np.finfo(float).max)
 # At tiny u the u-routes' integrals break down: Coffey's integrand peaks
 # near x = 0 at about log^n(u)/u^2, and Hasse's and Bell's e^{-uv} has not
 # decayed by the exp-sinh cap e^668.  Where that peak passes e^this (1e300:
 # below u = 1e-150 at n = 0, at larger u for larger n) all three answer by
-# the shift in u instead.
+# the shift in u instead, as zeta_prime0 and zeta_second0 do at n = 0.
 _PEAK_LOG_MAX = 300.0 * math.log(10.0)
 
 FLAG_CANCELLATION = "cancellation"
@@ -238,15 +241,21 @@ def _shift_term(n: int, u: float) -> float:
     return lg**n / u
 
 
+def _beyond_peak(n: int, u: float) -> bool:
+    """Whether log^n(u)/u^2 exceeds 1e300 (below u = 1e-150 at n = 0), where
+    the u-integrals break down and the value comes by a shift in u."""
+    lg = math.log(u)
+    return lg < 0.0 and n * math.log(-lg) - 2.0 * lg > _PEAK_LOG_MAX
+
+
 def _small_u_shift(n: int, u: float) -> Tuple[float, float, float]:
-    """(log^n(u)/u, its roundoff, u + 1) where log^n(u)/u^2 exceeds 1e300,
-    else (0, 0, u): the term a u-route adds, what it adds to the error
+    """(log^n(u)/u, its roundoff, u + 1) where :func:`_beyond_peak`, else
+    (0, 0, u): the term a u-route adds, what it adds to the error
     estimate, and the argument it integrates at, by the exact shift
     gamma_n(u) = gamma_n(u+1) + log^n(u)/u.  The roundoff is
     (n + 1) 2^-53 |log^n(u)/u|: the n-th power multiplies the rounding of
     log u n-fold, and the division adds one more."""
-    lg = math.log(u)
-    if lg < 0.0 and n * math.log(-lg) - 2.0 * lg > _PEAK_LOG_MAX:
+    if _beyond_peak(n, u):
         shift = _shift_term(n, u)
         return shift, (n + 1) * 2.0**-53 * abs(shift), u + 1.0
     return 0.0, 0.0, u
@@ -286,6 +295,8 @@ def _hasse_logs(u: float, j_max: int, dps: int) -> tuple:
     """The mpf logs log(u + k), k = 0..J, at ``dps`` digits.  Every n of a
     table at one u shares them; one entry, so no request meets a table left
     by an earlier one at another u."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         um = mp.mpf(u)
         return tuple(mp.log(um + k) for k in range(j_max + 1))
@@ -328,6 +339,8 @@ def _hasse_head(n: int, u: float, j_max: int) -> float:
     for that 2^J.  The rounded head is the only binary64 intermediate, so
     it alone enters gamma_hasse's roundoff term.
     """
+    import mpmath as mp
+
     dps = int(0.302 * j_max) + 25
     with mp.workdps(dps):
         prec = mp.mp.prec
@@ -344,7 +357,7 @@ def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
     propagated estimate, the largest |term| and the pass's QuadResult."""
     r = _log_moments(kernel, u, range(n + 1), cfg)
     total = estimate = max_term = 0.0
-    for k, c_k in enumerate(_derivative_tables()[1][: n + 1]):
+    for k, c_k in enumerate(_C_K[: n + 1]):
         weight = comb(n, k) * c_k
         term = weight * r.value[n - k]
         total += term
@@ -464,10 +477,9 @@ def brede_poly(n: int) -> RealPolynomial:
     p_2 = z^2 - 2 gamma z + gamma^2 - zeta(2).  Satisfies p_n' = n p_{n-1}.
     """
     n = _require_order(n, "n", 0, _MAX_DERIVATIVE)
-    cs = _derivative_tables()[1]
     coefficients = [0.0] * (n + 1)
     for k in range(n + 1):
-        coefficients[n - k] = comb(n, k) * (-1.0) ** k * cs[k]
+        coefficients[n - k] = comb(n, k) * (-1.0) ** k * _C_K[k]
     return RealPolynomial(tuple(coefficients))
 
 
@@ -600,9 +612,14 @@ def zeta_prime0(u: float, cfg: Optional[QuadConfig] = None) -> float:
 
     Lerch's identity zeta'(0, u) = log Gamma(u) - (1/2) log 2pi is the
     external check; u = 1 gives -(1/2) log 2pi.  The bracket-over-v kernel
-    uses its series form near 0 (removable singularity, limit 1/12).
+    uses its series form near 0 (removable singularity, limit 1/12).  Below
+    u = 1e-150, where e^{-u v} has not decayed by the last exp-sinh node,
+    the value is the exact shift zeta'(0, u+1) - log u, the gamma_0 routes'
+    rule.
     """
     u = _require_positive(u, "u")
+    if _beyond_peak(0, u):
+        return zeta_prime0(u + 1.0, cfg) - math.log(u)
     moment = _log_moments(binet_bracket_over_v, u, (0,), cfg).value[0]
     return moment - (0.5 - u) * math.log(u) - u
 
@@ -612,9 +629,13 @@ def zeta_second0(u: float, cfg: Optional[QuadConfig] = None) -> float:
                       - 2 int_0^inf log(u^2 + x^2) atan(x/u) / (e^{2 pi x} - 1) dx.
 
     Its u-derivative equals 2 gamma_1(u), which the test suite checks by
-    central finite differences against :func:`gamma_hasse`.
+    central finite differences against :func:`gamma_hasse`.  Below
+    u = 1e-150, where u^2 underflows in log(u^2 + x^2), the value is the
+    exact shift zeta''(0, u+1) + log^2 u, as in :func:`zeta_prime0`.
     """
     u = _require_positive(u, "u")
+    if _beyond_peak(0, u):
+        return zeta_second0(u + 1.0, cfg) + math.log(u) ** 2
     r = _abel_plana(lambda x: np.log(u * u + x * x) * np.arctan2(x, u), cfg)
     lg = math.log(u)
     return (0.5 - u) * lg * lg + 2.0 * u * lg - 2.0 * u - 2.0 * r.value
@@ -627,8 +648,13 @@ def barnes_g_log(t: float, cfg: Optional[QuadConfig] = None) -> float:
                      + int_0^inf (e^{-t v} - e^{-v})/v^2 B(v) dv.
 
     Satisfies the recursion G(1+t) = Gamma(t) G(t); t = 3 gives log 2.
+    The largest term, t log Gamma(t) ~ t^2 (log t - 1), overflows binary64
+    before the answer ~ t^2 log(t)/2 does, so t where t^2 log t overflows
+    (t above ~7.1e152) is rejected.
     """
     t = _require_positive(t, "t")
+    if t > 1.0 and 2.0 * math.log(t) + math.log(math.log(t)) > _LOG_MAX:
+        raise ValueError(f"t^2 log t overflows binary64 at t = {t!r}")
     # e^{-t v} - e^{-v} = -sign e^{-a v} expm1((a - b) v), a = min(t, 1) and
     # b = max(t, 1): no cancellation, and expm1 of a non-positive argument.
     a, b = min(t, 1.0), max(t, 1.0)
@@ -647,17 +673,6 @@ def barnes_g_log(t: float, cfg: Optional[QuadConfig] = None) -> float:
 
 
 # --- Hurwitz zeta continuations ---------------------------------------------
-
-
-def _require_hurwitz(s: float, u: float) -> Tuple[float, float]:
-    """(s, u) with s finite and not 1, u > 0, and u^{-s}, u^{1-s} in binary64."""
-    s, u = _require_finite(s, "s"), _require_positive(u, "u")
-    if s == 1.0:
-        raise ValueError("s = 1 is the pole of zeta(s, u)")
-    lg = math.log(u)
-    if -s * lg + max(lg, 0.0) > _LOG_MAX:
-        raise ValueError(f"u^-s or u^(1-s) overflows binary64 at s = {s!r}, u = {u!r}")
-    return s, u
 
 
 # Below this s Hermite's integral cancels against the boundary terms.  Worst
@@ -736,8 +751,8 @@ def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
             wl = np.where(live, w, 1.0)
             return np.where(live, np.exp(-wl) * wl**s * binet_bracket_over_v(wl / v), 0.0)
 
-        # rgamma(s) * integral is O(s); v^{-s-1} last, so no partial product underflows.
-        return float(mp.rgamma(s)) * integrate_semiaxis(f, cfg).value * v ** (-s - 1.0)
+        # integral / Gamma(s) is O(s); v^{-s-1} last, so no partial product underflows.
+        return 1.0 / math.gamma(s) * integrate_semiaxis(f, cfg).value * v ** (-s - 1.0)
 
     return _hurwitz(s, u, integral)
 

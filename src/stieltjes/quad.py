@@ -7,7 +7,7 @@ on the same t lattice (Takahasi & Mori 1974).  Node density doubles per
 refinement level; the absolute difference between the two finest levels is
 reported (honestly, as a heuristic) in ``QuadResult.error_estimate``.
 Convergence is declared when successive levels differ by at most
-``target_tol * max(1, |S|)``.
+``target_tol * max(1, |S|)`` and S is finite.
 
 Integrands must be vectorized: f(x) takes the whole node array and returns
 one row of samples, shape (len(x),), or a stack of k rows, (k, len(x)); any
@@ -149,14 +149,20 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-def _eval_samples(sample: Callable, x: np.ndarray, level: int) -> np.ndarray:
-    """Evaluate sample(x, level) on the node vector: one row of samples,
-    shape (len(x),), or a stack of rows, shape (k, len(x))."""
+def _level_sums(sample: Callable, x: np.ndarray, w: np.ndarray, level: int):
+    """sum_i f(x_i) w_i for sample(x, level): a float for one row of samples,
+    shape (len(x),), a list of floats for a stack of rows, shape (k, len(x)).
+    A non-finite sample raises IntegrandError; a sum that overflows is inf,
+    without a warning, and _refine never calls it converged."""
     with np.errstate(all="ignore"):
-        out = np.asarray(sample(x, level), dtype=float)
-    if out.ndim not in (1, 2) or out.shape[-1:] != x.shape:
-        raise IntegrandError(x[0], f"integrand returned shape {out.shape} for {x.shape} nodes")
-    return out
+        fx = np.asarray(sample(x, level), dtype=float)
+        if fx.ndim not in (1, 2) or fx.shape[-1:] != x.shape:
+            detail = f"integrand returned shape {fx.shape} for {x.shape} nodes"
+            raise IntegrandError(x[0], detail)
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            raise IntegrandError(float(x[np.argmax(bad) % len(x)]))
+        return (fx * w).sum(axis=-1).tolist()
 
 
 def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig]) -> QuadResult:
@@ -164,20 +170,17 @@ def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadC
     ``sample(x, L)`` -> the integrand on them, so that an integrand can look
     up its own level-only arrays.
 
-    Each row is a [total, estimate, converged] triple of plain floats.
+    Each row is a [total, estimate, converged] triple of plain floats; a row
+    whose total is not finite stays unconverged.
     """
     cfg = cfg if cfg is not None else QuadConfig()
     evaluations = 0
     for level in range(cfg.max_level + 1):
         x, w = nodes(level)
-        fx = _eval_samples(sample, x, level)
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            raise IntegrandError(float(x[np.argmax(bad) % len(x)]))
+        sums = _level_sums(sample, x, w, level)
         evaluations += len(x)
         h = 2.0 ** (-level)
-        sums = (fx * w).sum(axis=-1).tolist()
-        stacked = fx.ndim == 2
+        stacked = isinstance(sums, list)
         pieces = [h * s for s in sums] if stacked else [h * sums]
         if level == 0:
             rows = [[piece, math.inf, False] for piece in pieces]
@@ -188,7 +191,8 @@ def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadC
                 total = 0.5 * row[0] + piece
                 row[1] = abs(total - row[0])
                 row[0] = total
-                if level >= 2 and row[1] <= cfg.target_tol * max(1.0, abs(total)):
+                tol = cfg.target_tol * max(1.0, abs(total))
+                if level >= 2 and row[1] <= tol and math.isfinite(total):
                     row[2] = True
                     pending -= 1
         if not pending:
@@ -363,8 +367,13 @@ def legendre_relation_check(t: float, cfg: Optional[QuadConfig] = None) -> float
 
     The oscillation is tame because e^{-2 pi x} decay dominates; the residual
     is the analytic zero of the identity and is returned for the harness.
+    t below 2^-1021 (~4.5e-308) is rejected: t/2 is then subnormal, so
+    coth(t/2)/2 and 1/t no longer cancel exactly (at 5.6e-309 the residual
+    is 1.6e293), and below ~5.6e-309 1/t overflows binary64.
     """
     t = _require_positive(t, "t")
+    if t < 2.0 * np.finfo(float).tiny:
+        raise ValueError(f"t must be >= 2^-1021, so that t/2 is not subnormal, got t = {t!r}")
     result = _abel_plana(lambda x: np.sin(x * t), cfg)
     closed = 0.5 / math.tanh(0.5 * t) - 1.0 / t
     return abs(2.0 * result.value - closed)

@@ -1,8 +1,12 @@
 """Base special functions: log-gamma, digamma, polygamma, Hurwitz zeta (s > 1).
 
 log Gamma comes from :func:`math.lgamma`; psi and psi^{(p)} are mpmath
-values rounded once to binary64.  All are domain-checked here; re-deriving
-them would add risk, not value.  The Hurwitz zeta function for s > 1 is an
+values rounded once to binary64.  Besides the Hasse head they are mpmath's
+only use, so they import it themselves and ``import stieltjes`` does not.
+All are domain-checked here, an x whose psi or psi^{(p)} overflows binary64
+included; re-deriving them would add risk, not value.  The module also holds
+the package's argument validators, the Hurwitz overflow rule among them.
+The Hurwitz zeta function for s > 1 is an
 explicit truncated series with an Euler-Maclaurin tail,
 
     zeta(s, x) = sum_{k=0}^{N-1} (x+k)^{-s} + M^{1-s}/(s-1) + M^{-s}/2
@@ -17,9 +21,8 @@ integral representations of :mod:`stieltjes.core`, not here.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -30,6 +33,8 @@ __all__ = [
 ]
 
 _MAX_POLYGAMMA = 12
+# log of the largest binary64: the Hurwitz evaluators reject larger u^{-s}.
+_LOG_MAX = math.log(np.finfo(float).max)
 # mpmath's psi carries only ~10 guard bits of *absolute* precision, so at
 # binary64 working precision the float next to its zero x0 = 1.4616... comes
 # out with a relative error of 4e-3; doubling the precision rounds it right.
@@ -51,7 +56,7 @@ BERN_OVER_FACT = (
 
 
 # The package's input contract: every public function checks its integer
-# orders and real arguments through these three, before any quadrature.
+# orders and real arguments through these, before any quadrature.
 
 
 def _require_order(k, name: str = "n", lo: int = 0, hi: Optional[int] = None) -> int:
@@ -77,6 +82,25 @@ def _require_finite(x: float, name: str = "s") -> float:
     return x
 
 
+def _require_hurwitz(s: float, u: float) -> Tuple[float, float]:
+    """(s, u) with s finite and not 1, u > 0, and u^{-s}, u^{1-s} in binary64."""
+    s, u = _require_finite(s, "s"), _require_positive(u, "u")
+    if s == 1.0:
+        raise ValueError("s = 1 is the pole of zeta(s, u)")
+    lg = math.log(u)
+    if -s * lg + max(lg, 0.0) > _LOG_MAX:
+        raise ValueError(f"u^-s or u^(1-s) overflows binary64 at s = {s!r}, u = {u!r}")
+    return s, u
+
+
+def _require_binary64(value, what: str) -> float:
+    """An mpmath value rounded to binary64; ValueError where it overflows."""
+    x = float(value)
+    if math.isinf(x):
+        raise ValueError(f"{what} overflows binary64")
+    return x
+
+
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0; relative error <= 1e-13 on [1e-3, 1e6] away
     from the zeros at x = 1 and x = 2, absolute error ~1e-15 next to them."""
@@ -84,27 +108,36 @@ def log_gamma(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x) for x > 0; psi(1) = -gamma."""
+    """psi(x) = d/dx log Gamma(x) for x > 0; psi(1) = -gamma.  x below
+    ~5.6e-309, where psi(x) ~ -1/x overflows binary64, is rejected."""
+    import mpmath as mp
+
     x = _require_positive(x)
     with mp.workprec(_PSI_PREC):
-        return float(mp.digamma(x))
+        return _require_binary64(mp.digamma(x), f"psi({x!r})")
 
 
 def polygamma(p: int, x: float) -> float:
-    """psi^{(p)}(x) = (-1)^{p+1} p! zeta(p+1, x) for 1 <= p <= 12, x > 0."""
+    """psi^{(p)}(x) = (-1)^{p+1} p! zeta(p+1, x) for 1 <= p <= 12, x > 0.
+    x where the result, ~ (-1)^{p+1} p!/x^{p+1}, overflows binary64 is
+    rejected (below ~7e-155 at p = 1)."""
+    import mpmath as mp
+
     p = _require_order(p, "polygamma order", 1, _MAX_POLYGAMMA)
-    return float(mp.polygamma(p, _require_positive(x)))
+    x = _require_positive(x)
+    return _require_binary64(mp.polygamma(p, x), f"psi^({p})({x!r})")
 
 
 def hurwitz_zeta_series(s: float, x: float) -> float:
     """zeta(s, x) = sum_{n>=0} (n+x)^{-s} for s > 1, x > 0.
 
     Truncated series plus Euler-Maclaurin tail; relative error <= 1e-12 for
-    s in (1, 50].  s <= 1 raises a domain error -- analytic continuation is
-    deliberately the business of the integral representations.
+    s in (1, 50].  (s, x) where x^{-s} overflows binary64 is rejected, the
+    rule of the Hurwitz evaluators in :mod:`stieltjes.core`.  s <= 1 raises a
+    domain error -- analytic continuation is deliberately the business of
+    the integral representations.
     """
-    s = _require_finite(s, "s")
-    x = _require_positive(x)
+    s, x = _require_hurwitz(s, x)
     if not s > 1.0:
         raise ValueError(f"series evaluation needs s > 1, got s = {s!r}")
     # Shift until M = x + N is comfortably inside the asymptotic regime.

@@ -200,9 +200,31 @@ def test_gamma_derivatives_at_one(m):
 @pytest.mark.parametrize("k", range(13))
 def test_inv_gamma_derivatives(k):
     """The reciprocal-Gamma derivatives are the correctly rounded 50-digit
-    references: the recurrence runs at 40 digits, so the cancellation its
-    alternating-sign arguments cause never reaches binary64."""
+    references: the table is the recurrence run at 40 digits, so the
+    cancellation its alternating-sign arguments cause never reaches binary64."""
     assert inv_gamma_derivative_at_zero(k) == refs.INV_GAMMA_DERIVS[k]
+
+
+def test_derivative_tables_are_the_40_digit_values_rounded_once():
+    """The two stored tables are exactly their 40-digit values rounded once,
+    derived two ways: the Bell recurrence over psi^{(p)}(1), and m! times
+    the Taylor coefficients of Gamma and 1/Gamma at 1."""
+    import mpmath as mp
+
+    from stieltjes.bellpoly import _C_K, _GAMMA_DERIVATIVES, _MAX_DERIVATIVE
+
+    orders = range(_MAX_DERIVATIVE + 1)
+    with mp.workdps(40):
+        psi = [mp.psi(p, 1) for p in range(_MAX_DERIVATIVE)]
+        bell = (
+            tuple(float(eval_bell(m, psi)) for m in orders),
+            tuple(float(eval_bell(m, [-x for x in psi])) for m in orders),
+        )
+        taylor = tuple(
+            tuple(float(c * mp.factorial(m)) for m, c in enumerate(mp.taylor(f, 1, orders[-1])))
+            for f in (mp.gamma, mp.rgamma)
+        )
+    assert bell == taylor == (_GAMMA_DERIVATIVES, _C_K)
 
 
 def test_gamma_derivative_low_orders_closed_form():

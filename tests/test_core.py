@@ -579,6 +579,17 @@ def test_zeta_second0(u):
     assert abs(zeta_second0(u) - ref) < _scaled(ref, 1e-13)
 
 
+@pytest.mark.parametrize("u", [1e-150, 1e-200, 1e-300, 1.7e-308])
+def test_zeta_derivatives_at_tiny_u_take_the_exact_shift(u):
+    """Below u = 1e-150 zeta'(0, u) and zeta''(0, u) come by the shifts
+    zeta'(0, u+1) - log u and zeta''(0, u+1) + log^2 u; each agrees with
+    mpmath's zeta(0, u, k) at 40 digits to 1.7e-16 relative."""
+    for k, value in ((1, zeta_prime0(u)), (2, zeta_second0(u))):
+        with mp.workdps(40):
+            ref = mp.zeta(0, u, k)
+            assert abs((value - ref) / ref) <= 1.7e-16
+
+
 def test_zeta_second0_unit_shift_invariance():
     """zeta''(0, u) - zeta''(0, u+1) = log^2 u; at u = 1 the two agree."""
     assert abs(zeta_second0(1.0) - zeta_second0(2.0)) < 1e-12
@@ -590,6 +601,17 @@ def test_zeta_second0_unit_shift_invariance():
 def test_barnes_g_log(t):
     ref = refs.LOG_BARNES[t]
     assert abs(barnes_g_log(t) - ref) < _scaled(ref, 1e-13)
+
+
+def test_barnes_g_log_at_its_largest_t():
+    """Just below the rejection rule the largest term t log Gamma(t) and the
+    answer ~ t^2 log(t)/2 are both finite."""
+    t = 7e152
+    ref = barnes_g_log(t)
+    with mp.workdps(30):
+        assert abs((ref - mp.log(mp.barnesg(1 + mp.mpf(t)))) / ref) < 1e-13
+    with pytest.raises(ValueError):
+        barnes_g_log(7.2e152)
 
 
 def test_barnes_g_literals():

@@ -148,6 +148,14 @@ def test_nonconvergence_is_flagged_not_raised():
     assert np.isfinite(r.value)
 
 
+def test_overflowing_sum_is_never_converged():
+    """A level sum that overflows binary64 is inf: the row stays unconverged,
+    and no numpy overflow warning escapes (warnings are errors here)."""
+    r = integrate_finite(lambda v: np.full_like(v, 1.0), -1e308, 0.0)
+    assert not r.converged
+    assert math.isinf(r.value)
+
+
 def test_level_budget_controls_accuracy():
     exact = math.e - 1.0
     shallow = integrate_finite(
@@ -341,8 +349,16 @@ def test_atan_laplace(u, x):
     assert atan_laplace_check(u, x) < 1e-12
 
 
+def test_legendre_relation_at_its_smallest_t():
+    """At t = 2^-1021, the least t accepted, the residual is still ~t/6."""
+    t = 2.0**-1021
+    assert legendre_relation_check(t) < t
+
+
 def test_residual_domain_checks():
     with pytest.raises(ValueError):
         legendre_relation_check(0.0)
+    with pytest.raises(ValueError):
+        legendre_relation_check(math.nextafter(2.0**-1021, 0.0))
     with pytest.raises(ValueError):
         atan_laplace_check(-1.0, 1.0)

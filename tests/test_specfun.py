@@ -99,18 +99,41 @@ def test_hurwitz_series_domain():
 # dependencies
 
 
-def test_import_loads_no_package_beyond_numpy_and_mpmath():
-    """``import stieltjes`` brings in the standard library, numpy and mpmath
-    only (scipy in particular is never imported).  Modules a bare interpreter
-    already holds, such as those ``site`` loads, are not counted."""
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that finds this checkout's
+    package first."""
     src = str(Path(stieltjes.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); " + code, src],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_import_loads_no_package_beyond_numpy():
+    """``import stieltjes`` brings in the standard library and numpy only
+    (mpmath is imported by the functions that use it, and scipy never).
+    Modules a bare interpreter already holds, such as those ``site`` loads,
+    are not counted."""
     code = (
-        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "before = set(sys.modules); "
         "import stieltjes; "
         "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
         " - set(sys.stdlib_module_names)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    assert _fresh_interpreter(code) == "['numpy', 'stieltjes']"
+
+
+def test_coffey_bell_and_brede_never_load_mpmath():
+    """mpmath is for the Hasse head and psi alone: the Coffey, Bell-family
+    and Brede routes, c_k table included, run without it."""
+    code = (
+        "import stieltjes; "
+        "stieltjes.gamma_coffey(1, 1.0); "
+        "stieltjes.gamma_bell_family(3, 0.5); "
+        "stieltjes.gamma_brede(2); "
+        "print('mpmath' in sys.modules)"
     )
-    assert out.stdout.strip() == "['mpmath', 'numpy', 'stieltjes']"
+    assert _fresh_interpreter(code) == "False"
