@@ -55,7 +55,9 @@ from .bellpoly import _C_K, _MAX_DERIVATIVE, gamma_derivative_at_one
 from .quad import (
     QuadConfig,
     _abel_plana,
+    _log_moment_rows,
     _log_moments,
+    _quad_result,
     binet_bracket,
     binet_bracket_over_v,
     integrate_semiaxis,
@@ -292,14 +294,15 @@ def _hasse_tail_kernel(j_max: int):
 
 @lru_cache(maxsize=1)
 def _hasse_logs(u: float, j_max: int, dps: int) -> tuple:
-    """The mpf logs log(u + k), k = 0..J, at ``dps`` digits.  Every n of a
-    table at one u shares them; one entry, so no request meets a table left
-    by an earlier one at another u."""
+    """The logs log(u + k), k = 0..J, at ``dps`` digits, as raw mpf tuples
+    (``mpf._mpf_``) for :func:`_hasse_head`.  Every n of a table at one u
+    shares them; one entry, so no request meets a table left by an earlier
+    one at another u."""
     import mpmath as mp
 
     with mp.workdps(dps):
         um = mp.mpf(u)
-        return tuple(mp.log(um + k) for k in range(j_max + 1))
+        return tuple(mp.log(um + k)._mpf_ for k in range(j_max + 1))
 
 
 @lru_cache(maxsize=4)
@@ -318,8 +321,11 @@ def _hasse_weights(j_max: int) -> Tuple[int, Tuple[int, ...]]:
 def _hasse_head(n: int, u: float, j_max: int) -> float:
     """sum_{j=0}^{J} [1/(j+1)] sum_k C(j,k)(-1)^k log^{n+1}(u+k).
 
-    The table a_k = log^{n+1}(u+k) is computed in mpmath and rounded once to
-    fixed point with ``prec`` fractional bits.  Over the common denominator
+    The table a_k = log^{n+1}(u+k) is computed on the raw mpf logs of
+    :func:`_hasse_logs` by mpmath's ``mpf_pow_int`` at ``prec`` bits,
+    rounded to nearest (the call ``mpf.__pow__`` makes, without its
+    wrapper), and cut once to fixed point with ``prec`` fractional bits.
+    Over the common denominator
     L = lcm(1..J+1) the double sum regroups into one fixed weight per entry,
     sum_k W_k a_k (``_hasse_weights``), an exact integer dot product, and
     one correctly rounded int/int division gives the binary64 head.  That
@@ -339,23 +345,48 @@ def _hasse_head(n: int, u: float, j_max: int) -> float:
     for that 2^J.  The rounded head is the only binary64 intermediate, so
     it alone enters gamma_hasse's roundoff term.
     """
-    import mpmath as mp
+    from mpmath.libmp import dps_to_prec, mpf_pow_int, round_nearest, to_fixed
 
     dps = int(0.302 * j_max) + 25
-    with mp.workdps(dps):
-        prec = mp.mp.prec
-        table = [
-            mp.libmp.to_fixed((lg ** (n + 1))._mpf_, prec) for lg in _hasse_logs(u, j_max, dps)
-        ]
+    prec = dps_to_prec(dps)
+    table = [
+        to_fixed(mpf_pow_int(lg, n + 1, prec, round_nearest), prec)
+        for lg in _hasse_logs(u, j_max, dps)
+    ]
     lcm, weights = _hasse_weights(j_max)
     return sum(map(int.__mul__, table, weights)) / (lcm << prec)
 
 
+# The moment rows of the last (kernel, u, cfg) a tail was asked for: one
+# immutable pair ((kernel, u, cfg), rows), rows[p] being M_p(u)'s row of
+# _log_moment_rows, in a one-element list so that it is replaced in one
+# item assignment and the module's own names never change.  A new key
+# starts afresh.
+_moment_slot = [(None, ())]
+
+
 def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
     """(-1)^n sum_{k=0}^{n} C(n,k) c_k M_{n-k}(u), the shared tail of the
-    Hasse and Bell-family routes, from one moment pass: returns the sum, its
-    propagated estimate, the largest |term| and the pass's QuadResult."""
-    r = _log_moments(kernel, u, range(n + 1), cfg)
+    Hasse and Bell-family routes: returns the sum, its propagated estimate,
+    the largest |term| and the QuadResult of the moment rows 0..n.
+
+    The rows come from ``_moment_slot``: a call at the slot's (kernel, u,
+    cfg) integrates only the powers the slot lacks, as one stacked pass, so
+    n = 0..12 at one u integrate each moment once.  Each row stops where it
+    would alone, so the rows, and the QuadResult, whose evaluations are
+    those of the deepest row, equal one pass over p = 0..n."""
+    key = (kernel, u, cfg)
+    slot_key, rows = _moment_slot[0]
+    if slot_key != key:
+        rows = ()
+    if len(rows) <= n:
+        new = _log_moment_rows(kernel, u, range(len(rows), n + 1), cfg)
+        # tuple() of a list, not of a map: a tuple built from an iterator of
+        # unknown length is resized, and CPython keeps the resized tuples on
+        # its free lists (2.3 MB more peak RSS over a loop of Bell calls).
+        rows += tuple([tuple(row) for row in new])
+        _moment_slot[0] = (key, rows)
+    r = _quad_result(rows[: n + 1], True)
     total = estimate = max_term = 0.0
     for k, c_k in enumerate(_C_K[: n + 1]):
         weight = comb(n, k) * c_k

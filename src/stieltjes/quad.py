@@ -14,7 +14,10 @@ one row of samples, shape (len(x),), or a stack of k rows, (k, len(x)); any
 other shape raises :class:`IntegrandError`, and f's own exceptions pass
 through.  A stack costs one pass, since the nodes do not depend on f; each
 row keeps the value and estimate of the first level at which it met the
-test, exactly as if it had been integrated alone.
+test, exactly as if it had been integrated alone.  ``QuadResult.level`` is
+that level, one per row for a stack (``max_level`` for a row that never met
+the test); a row's cost is the evaluations through its level, the same
+whether it was integrated alone or in a stack.
 
 Numerical policy, all consequences of binary64:
 
@@ -86,6 +89,8 @@ _ES_T_LO = -math.asinh(-math.log(_TRUNCATION_GUARD) / _LAMBDA)
 _ES_T_HI = math.asinh(min(-math.log(_TRUNCATION_GUARD), _ES_ABSCISSA_LOG_CAP) / _LAMBDA)
 # Past this x, e^{-2 pi x} has underflowed: Abel-Plana integrands are 0.
 _WEIGHT_CUTOFF = 200.0
+# Past u y = this, e^{-u y} is 0 in binary64: atan_laplace_check masks it.
+_ATAN_LIVE_MAX = 800.0
 
 
 class IntegrandError(ValueError):
@@ -117,18 +122,22 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """One integral: value, last-two-levels error estimate, sample count.
+    """One integral: value, last-two-levels error estimate, sample count,
+    and the refinement level whose value is reported.
 
     ``converged`` is False when ``max_level`` was exhausted before the
-    level-difference test was met; the value and estimate are still reported.
-    A stacked integrand gives tuples of per-row values and estimates; it is
-    ``converged`` only if every row is, and ``evaluations`` counts one pass.
+    level-difference test was met; the value and estimate are still reported,
+    and ``level`` is ``max_level``.  A stacked integrand gives tuples of
+    per-row values, estimates and levels; it is ``converged`` only if every
+    row is, and ``evaluations`` counts one pass, which is the cost of its
+    deepest row.
     """
 
     value: Union[float, Tuple[float, ...]]
     error_estimate: Union[float, Tuple[float, ...]]
     evaluations: int
-    converged: bool = True
+    converged: bool
+    level: Union[int, Tuple[int, ...]]
 
 
 # Level-only arrays are kept per process up to the default max_level: all of
@@ -165,13 +174,16 @@ def _level_sums(sample: Callable, x: np.ndarray, w: np.ndarray, level: int):
         return (fx * w).sum(axis=-1).tolist()
 
 
-def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig]) -> QuadResult:
+def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig]):
     """Shared level-doubling driver; ``nodes(L)`` -> the (x, w) new at level L,
     ``sample(x, L)`` -> the integrand on them, so that an integrand can look
     up its own level-only arrays.
 
-    Each row is a [total, estimate, converged] triple of plain floats; a row
-    whose total is not finite stays unconverged.
+    Returns (rows, stacked): one [total, estimate, converged, level,
+    evaluations] list per integrand row, with the level the row stopped at
+    (``max_level`` if it never converged) and the evaluations through that
+    level; a row whose total is not finite stays unconverged.
+    :func:`_quad_result` makes the :class:`QuadResult`.
     """
     cfg = cfg if cfg is not None else QuadConfig()
     evaluations = 0
@@ -183,7 +195,7 @@ def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadC
         stacked = isinstance(sums, list)
         pieces = [h * s for s in sums] if stacked else [h * sums]
         if level == 0:
-            rows = [[piece, math.inf, False] for piece in pieces]
+            rows = [[piece, math.inf, False, cfg.max_level, 0] for piece in pieces]
             pending = len(rows)
             continue
         for row, piece in zip(rows, pieces):
@@ -193,14 +205,24 @@ def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadC
                 row[0] = total
                 tol = cfg.target_tol * max(1.0, abs(total))
                 if level >= 2 and row[1] <= tol and math.isfinite(total):
-                    row[2] = True
+                    row[2:] = True, level, evaluations
                     pending -= 1
         if not pending:
             break
-    values, estimates, converged = zip(*rows)
-    if stacked:
-        return QuadResult(values, estimates, evaluations, all(converged))
-    return QuadResult(values[0], estimates[0], evaluations, converged[0])
+    for row in rows:
+        if not row[2]:
+            row[4] = evaluations
+    return rows, stacked
+
+
+def _quad_result(rows, stacked: bool) -> QuadResult:
+    """The QuadResult of :func:`_refine`'s rows: scalar fields for one row,
+    tuples for a stack, whose pass costs as much as its deepest row."""
+    if not stacked:
+        total, estimate, converged, level, evaluations = rows[0]
+        return QuadResult(total, estimate, evaluations, converged, level)
+    values, estimates, converged, levels, evaluations = zip(*rows)
+    return QuadResult(values, estimates, max(evaluations), all(converged), levels)
 
 
 def integrate_finite(
@@ -232,7 +254,7 @@ def integrate_finite(
         keep = (s >= _TRUNCATION_GUARD) & (x > a) & (x < b)
         return x[keep], w[keep]
 
-    return _refine(lambda x, level: f(x), nodes, cfg)
+    return _quad_result(*_refine(lambda x, level: f(x), nodes, cfg))
 
 
 @lru_cache(maxsize=None)
@@ -252,9 +274,15 @@ def _es_nodes(level: int) -> tuple:
     return _read_only(x, x * _LAMBDA * np.cosh(t), np.log(x))
 
 
+def _semiaxis_rows(sample: Callable, cfg: Optional[QuadConfig]):
+    """:func:`_refine` on the exp-sinh nodes, for the level-aware integrand
+    sample(x, level)."""
+    return _refine(sample, lambda level: _kept(_es_nodes, level)[:2], cfg)
+
+
 def _semiaxis(sample: Callable, cfg: Optional[QuadConfig]) -> QuadResult:
     """exp-sinh integral of the level-aware integrand sample(x, level)."""
-    return _refine(sample, lambda level: _kept(_es_nodes, level)[:2], cfg)
+    return _quad_result(*_semiaxis_rows(sample, cfg))
 
 
 def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -300,10 +328,11 @@ def _kernel_on_nodes(level: int, kernel: Callable) -> np.ndarray:
     return _read_only(kernel(_kept(_es_nodes, level)[0]))[0]
 
 
-def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
-    """M_p(u) = int_0^inf log^p(v) e^{-u v} K(v) dv for every p in ``powers``,
-    as the rows of one stacked exp-sinh pass over the kernel K.  log v and
-    K(v) depend on the level only, so each is computed once per process."""
+def _log_moment_rows(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> list:
+    """The rows of M_p(u) = int_0^inf log^p(v) e^{-u v} K(v) dv, one per p in
+    ``powers``, from one stacked exp-sinh pass over the kernel K, as
+    :func:`_refine` gives them.  log v and K(v) depend on the level only, so
+    each is computed once per process."""
 
     def sample(v, level):
         damped = np.exp(-u * v)
@@ -314,7 +343,13 @@ def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) 
             row[:] = damped * lg**p * kv if p else damped * kv
         return out
 
-    return _semiaxis(sample, cfg)
+    return _semiaxis_rows(sample, cfg)[0]
+
+
+def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
+    """M_p(u) for every p in ``powers`` as one stacked QuadResult
+    (:func:`_log_moment_rows`)."""
+    return _quad_result(_log_moment_rows(kernel, u, powers, cfg), True)
 
 
 # --- regularized Binet kernel ------------------------------------------------
@@ -383,14 +418,21 @@ def atan_laplace_check(u: float, x: float, cfg: Optional[QuadConfig] = None) -> 
     """Residual |int_0^inf e^{-u y} sin(x y)/y dy - atan(x/u)|.
 
     The y -> 0 limit of the integrand is x; the engine never samples y = 0,
-    and sin(x y)/y is stable down to subnormal y, so no special-casing is
-    required at runtime.
+    and sin(x y)/y is stable down to subnormal y, so small y needs no
+    special case.  Past u y = 800, e^{-u y} has underflowed to 0, so those
+    nodes are masked, as in :func:`stieltjes.core.hurwitz_laplace`: there
+    x y may overflow, and sin(inf) is NaN.  (u, x) where x y can still
+    overflow on the live nodes, y <= min(800/u, e^668), is rejected.
     """
     u = _require_positive(u, "u")
     x = _require_finite(x, "x")
+    if math.isinf(abs(x) * min(_ATAN_LIVE_MAX / u, math.exp(_ES_ABSCISSA_LOG_CAP))):
+        raise ValueError(f"x y overflows binary64 where e^(-u y) > 0, got u = {u!r}, x = {x!r}")
 
     def f(y):
-        return np.exp(-u * y) * np.sin(x * y) / y
+        live = u * y <= _ATAN_LIVE_MAX
+        yl = np.where(live, y, 1.0)
+        return np.where(live, np.exp(-u * yl) * np.sin(x * yl) / yl, 0.0)
 
     result = integrate_semiaxis(f, cfg)
     return abs(result.value - math.atan2(x, u))

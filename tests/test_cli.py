@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from stieltjes import brede_poly, cli
+from stieltjes import brede_poly, cli, core, gamma_hasse
 from stieltjes.cli import EX_IO, EX_NUMERICAL, EX_OK, EX_USAGE, main
 
 import refs
@@ -222,6 +222,21 @@ def test_table_json(argv, rc, flags, tmp_path, capsys):
     for row, line in zip(rows, lines):
         assert list(row) == ["n", "value", "error_estimate", "evaluations", "flags"]
         assert line.split()[4:] == ([f"[{','.join(row['flags'])}]"] if row["flags"] else [])
+
+
+def test_table_gamma_n_rows_equal_fresh_hasse_calls(tmp_path, capsys):
+    """The rows of one ``table gamma_n``, which share their moment rows,
+    equal 13 Hasse calls made each with an empty moment-row slot, bit for
+    bit."""
+    path = tmp_path / "table.json"
+    assert main(["table", "gamma_n", "-u", "0.37", "--max-n", "12", "--json", str(path)]) == EX_OK
+    capsys.readouterr()
+    rows = json.loads(path.read_text())["rows"]
+    fresh = []
+    for n in range(13):
+        core._moment_slot[0] = (None, ())
+        fresh.append({"n": n, **gamma_hasse(n, 0.37).as_dict()})
+    assert rows == fresh
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
-"""Tests for the per-process tables of level-only arrays.
+"""Tests for the per-process tables of level-only arrays and the moment-row slot.
 
 The exp-sinh nodes, log x, each kernel on the nodes and the Abel-Plana
 weight depend on the quadrature level alone, and the Hasse head's mpf logs
-on (u, J) alone, so each is computed once and kept.  A cache must be
-invisible: a cold call and a warm call give the same result bit for bit.
+on (u, J) alone, so each is computed once and kept.  The Hasse and
+Bell-family tails keep the moment rows M_0..M_n of the last (kernel, u,
+cfg) in one slot, ``core._moment_slot``, so n = 0..12 at one u integrate
+each row once.  A cache must be invisible: a cold call and a warm call give
+the same result bit for bit, and memory does not grow with the calls made.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stieltjes import (
     QuadConfig,
@@ -33,6 +40,7 @@ _CACHES = (
 def _clear_caches():
     for cache in _CACHES:
         cache.cache_clear()
+    core._moment_slot[0] = (None, ())
 
 
 def _bits(r):
@@ -130,3 +138,79 @@ def test_each_hasse_depth_has_its_own_kernel_table(monkeypatch):
         assert quad._kernel_on_nodes.cache_info().misses > misses
         tables.append(quad._kept(quad._kernel_on_nodes, 2, core._hasse_tail_kernel(j_max)))
     assert not np.array_equal(*tables)
+
+
+_ROUTES = {"hasse": gamma_hasse, "bell": gamma_bell_family}
+_CFGS = (None, QuadConfig(target_tol=1e-8))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_ROUTES)),
+            st.integers(0, 12),
+            st.sampled_from((0.13, 0.7, 2.5)),
+            st.sampled_from(_CFGS),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_slot_calls_equal_fresh_calls(calls):
+    """Whatever the slot holds when a call comes, the call gives the bits
+    it gives with the slot emptied first."""
+    for route, n, u, cfg in calls:
+        warm = _ROUTES[route](n, u, cfg=cfg)
+        core._moment_slot[0] = (None, ())
+        assert _bits(warm) == _bits(_ROUTES[route](n, u, cfg=cfg)), (route, n, u, cfg)
+
+
+def test_a_table_at_one_u_integrates_each_moment_row_once(monkeypatch):
+    """n = 0..12 at one u asks the engine for each power p once, in order;
+    a call at a new u replaces the slot."""
+    passes = []
+
+    def recorded(kernel, u, powers, cfg):
+        passes.append(list(powers))
+        return quad._log_moment_rows(kernel, u, powers, cfg)
+
+    monkeypatch.setattr(core, "_log_moment_rows", recorded)
+    core._moment_slot[0] = (None, ())
+    for n in range(13):
+        gamma_hasse(n, 0.45)
+    assert passes == [[p] for p in range(13)]
+    key, rows = core._moment_slot[0]
+    assert key == (core._hasse_tail_kernel(core._J_MAX), 0.45, None) and len(rows) == 13
+
+    gamma_hasse(5, 0.45)  # rows 0..5 are in the slot: no pass
+    gamma_hasse(3, 1.6)
+    assert passes[13:] == [[0, 1, 2, 3]]
+    key, rows = core._moment_slot[0]
+    assert key[1:] == (1.6, None) and len(rows) == 4
+
+
+def test_repeated_table_passes_do_not_grow_memory():
+    """After a warm-up, 20 passes of n = 0..12 at 8 new u each grow the
+    traced memory by less than 64 KB: the slot holds one u's rows, not one
+    set per u seen, and builds them without filling CPython's tuple free
+    lists.  The Bell-family route shares the slot with Hasse and runs much
+    faster under tracemalloc, which slows mpmath's small allocations
+    ~30-fold."""
+
+    def table_pass(p):
+        for i in range(8):
+            for n in range(13):
+                gamma_bell_family(n, 0.1 + 0.05 * (8 * p + i))
+
+    table_pass(0)
+    tracemalloc.start()
+    try:
+        table_pass(1)
+        before = tracemalloc.get_traced_memory()[0]
+        for p in range(2, 22):
+            table_pass(p)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown

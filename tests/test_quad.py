@@ -278,15 +278,41 @@ def test_stacked_rows_match_scalar_calls(rows, integrate, row_converged, stop_le
     """A (k, len(x)) integrand is one pass whose rows equal k separate
     calls bit for bit; the pass converges only if every row does and costs
     as many evaluations as the slowest row.  ``stop_levels`` counts the
-    distinct levels at which the scalar calls stop."""
+    distinct levels at which the scalar calls stop; each row's ``level`` is
+    its scalar call's."""
     stacked = integrate(lambda v: np.array([f(v) for f in rows]))
     scalar = [integrate(f) for f in rows]
     assert [r.converged for r in scalar] == row_converged
     assert len({r.evaluations for r in scalar}) == stop_levels
+    assert len({r.level for r in scalar}) == stop_levels
+    assert stacked.level == tuple(r.level for r in scalar)
     assert stacked.value == tuple(r.value for r in scalar)
     assert stacked.error_estimate == tuple(r.error_estimate for r in scalar)
     assert stacked.converged == all(row_converged)
     assert stacked.evaluations == max(r.evaluations for r in scalar)
+
+
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        lambda cfg: integrate_semiaxis(lambda v: np.exp(-v) * np.log(v) ** 3, cfg),
+        lambda cfg: integrate_finite(np.exp, 0.0, 1.0, cfg),
+        lambda cfg: integrate_finite(lambda v: np.where(v > 0.3, 1.0, 0.0), 0.0, 1.0, cfg),
+    ],
+    ids=["semiaxis", "finite", "finite_jump"],
+)
+def test_level_is_the_level_reported(integrate):
+    """``level`` is the level whose value is reported (``max_level`` if the
+    test was never met): a run capped at that level gives the same result,
+    evaluations included, and a run capped one level lower does not."""
+    r = integrate(QuadConfig())
+    capped = integrate(QuadConfig(max_level=r.level))
+    assert capped == r
+    if r.converged:
+        assert r.level < QuadConfig().max_level
+        assert integrate(QuadConfig(max_level=r.level - 1)).evaluations < r.evaluations
+    else:
+        assert r.level == QuadConfig().max_level
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +373,14 @@ def test_legendre_relation(t):
 @pytest.mark.parametrize("u,x", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
 def test_atan_laplace(u, x):
     assert atan_laplace_check(u, x) < 1e-12
+
+
+@pytest.mark.parametrize("x", [1e19, 1e100])
+def test_atan_laplace_at_large_x_is_finite(x):
+    """sin(x y) overflows at the last exp-sinh nodes, where e^(-u y) is
+    already 0; those nodes are masked, so the residual is finite (the
+    oscillation is too fast for the nodes, so it is not small)."""
+    assert math.isfinite(atan_laplace_check(1.0, x))
 
 
 def test_legendre_relation_at_its_smallest_t():
