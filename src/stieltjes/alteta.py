@@ -32,7 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from .core import gamma_value, hurwitz_hermite
-from .specfun import _require_finite, _require_order, _require_positive, digamma
+from .specfun import _LOG_MAX, _require_finite, _require_order, _require_positive, digamma
 
 __all__ = [
     "alt_zeta",
@@ -80,11 +80,15 @@ def alt_zeta_hasse(s: float, x: float, n: int = 0, *, i_max: int = 120) -> float
     binary64 rounding noise near 1e-14 out to i ~ 100, so no extended
     precision is needed.  Truncates once the damped term magnitude stays below 1e-15
     (two consecutive terms, after a warm-up of ten), or at ``i_max``.
+    (s, x) is rejected where (x+j)^s or its reciprocal leaves binary64:
+    |s log(x+j)| > log(max float) at j = 0 or j = i_max.
     """
     s = _require_finite(s, "s")
     x = _require_positive(x, "x")
     n = _require_order(n, "derivative order", 0, _MAX_DERIV)
     i_max = _require_order(i_max, "i_max")
+    if abs(s) * max(abs(math.log(x)), abs(math.log(x + i_max))) > _LOG_MAX:
+        raise ValueError(f"(x+j)^s leaves binary64 for some j <= {i_max}, got s = {s!r}, x = {x!r}")
     table = np.array([math.log(x + j) ** n / (x + j) ** s for j in range(i_max + 1)])
     total = 0.0
     weight = 0.5

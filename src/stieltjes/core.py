@@ -53,11 +53,10 @@ import numpy as np
 
 from .bellpoly import _C_K, _MAX_DERIVATIVE, gamma_derivative_at_one
 from .quad import (
+    _EXP_DEAD,
     QuadConfig,
     _abel_plana,
-    _log_moment_rows,
     _log_moments,
-    _quad_result,
     binet_bracket,
     binet_bracket_over_v,
     integrate_semiaxis,
@@ -357,36 +356,15 @@ def _hasse_head(n: int, u: float, j_max: int) -> float:
     return sum(map(int.__mul__, table, weights)) / (lcm << prec)
 
 
-# The moment rows of the last (kernel, u, cfg) a tail was asked for: one
-# immutable pair ((kernel, u, cfg), rows), rows[p] being M_p(u)'s row of
-# _log_moment_rows, in a one-element list so that it is replaced in one
-# item assignment and the module's own names never change.  A new key
-# starts afresh.
-_moment_slot = [(None, ())]
-
-
 def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
     """(-1)^n sum_{k=0}^{n} C(n,k) c_k M_{n-k}(u), the shared tail of the
     Hasse and Bell-family routes: returns the sum, its propagated estimate,
     the largest |term| and the QuadResult of the moment rows 0..n.
 
-    The rows come from ``_moment_slot``: a call at the slot's (kernel, u,
-    cfg) integrates only the powers the slot lacks, as one stacked pass, so
-    n = 0..12 at one u integrate each moment once.  Each row stops where it
-    would alone, so the rows, and the QuadResult, whose evaluations are
-    those of the deepest row, equal one pass over p = 0..n."""
-    key = (kernel, u, cfg)
-    slot_key, rows = _moment_slot[0]
-    if slot_key != key:
-        rows = ()
-    if len(rows) <= n:
-        new = _log_moment_rows(kernel, u, range(len(rows), n + 1), cfg)
-        # tuple() of a list, not of a map: a tuple built from an iterator of
-        # unknown length is resized, and CPython keeps the resized tuples on
-        # its free lists (2.3 MB more peak RSS over a loop of Bell calls).
-        rows += tuple([tuple(row) for row in new])
-        _moment_slot[0] = (key, rows)
-    r = _quad_result(rows[: n + 1], True)
+    The moments come from :func:`.quad._log_moments`, whose table keeps the
+    rows of the last (kernel, u, cfg), so n = 0..12 at one u integrate each
+    moment once; the result equals one pass over p = 0..n."""
+    r = _log_moments(kernel, u, range(n + 1), cfg)
     total = estimate = max_term = 0.0
     for k, c_k in enumerate(_C_K[: n + 1]):
         weight = comb(n, k) * c_k
@@ -778,7 +756,7 @@ def hurwitz_laplace(s: float, u: float, cfg: Optional[QuadConfig] = None) -> flo
 
     def integral(v):
         def f(w):
-            live = w <= 800.0
+            live = w <= _EXP_DEAD
             wl = np.where(live, w, 1.0)
             return np.where(live, np.exp(-wl) * wl**s * binet_bracket_over_v(wl / v), 0.0)
 

@@ -89,8 +89,8 @@ _ES_T_LO = -math.asinh(-math.log(_TRUNCATION_GUARD) / _LAMBDA)
 _ES_T_HI = math.asinh(min(-math.log(_TRUNCATION_GUARD), _ES_ABSCISSA_LOG_CAP) / _LAMBDA)
 # Past this x, e^{-2 pi x} has underflowed: Abel-Plana integrands are 0.
 _WEIGHT_CUTOFF = 200.0
-# Past u y = this, e^{-u y} is 0 in binary64: atan_laplace_check masks it.
-_ATAN_LIVE_MAX = 800.0
+# Past t = this, e^{-t} is 0 in binary64: integrands mask those nodes.
+_EXP_DEAD = 800.0
 
 
 class IntegrandError(ValueError):
@@ -274,15 +274,14 @@ def _es_nodes(level: int) -> tuple:
     return _read_only(x, x * _LAMBDA * np.cosh(t), np.log(x))
 
 
-def _semiaxis_rows(sample: Callable, cfg: Optional[QuadConfig]):
-    """:func:`_refine` on the exp-sinh nodes, for the level-aware integrand
-    sample(x, level)."""
-    return _refine(sample, lambda level: _kept(_es_nodes, level)[:2], cfg)
+def _es_xw(level: int) -> tuple:
+    """The exp-sinh (x, w) new at ``level``, the nodes of :func:`_refine`."""
+    return _kept(_es_nodes, level)[:2]
 
 
 def _semiaxis(sample: Callable, cfg: Optional[QuadConfig]) -> QuadResult:
     """exp-sinh integral of the level-aware integrand sample(x, level)."""
-    return _quad_result(*_semiaxis_rows(sample, cfg))
+    return _quad_result(*_refine(sample, _es_xw, cfg))
 
 
 def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -328,28 +327,38 @@ def _kernel_on_nodes(level: int, kernel: Callable) -> np.ndarray:
     return _read_only(kernel(_kept(_es_nodes, level)[0]))[0]
 
 
-def _log_moment_rows(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> list:
-    """The rows of M_p(u) = int_0^inf log^p(v) e^{-u v} K(v) dv, one per p in
-    ``powers``, from one stacked exp-sinh pass over the kernel K, as
-    :func:`_refine` gives them.  log v and K(v) depend on the level only, so
+@lru_cache(maxsize=1)
+def _moment_table(kernel: Callable, u: float, cfg: Optional[QuadConfig]) -> dict:
+    """{p: the :func:`_refine` row of M_p(u)} for the last (kernel, u, cfg)
+    that :func:`_log_moments` was asked for; one entry, so a new key drops
+    the old rows."""
+    return {}
+
+
+def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
+    """M_p(u) = int_0^inf log^p(v) e^{-u v} K(v) dv for every p in
+    ``powers``, as one stacked QuadResult.
+
+    The powers that :func:`_moment_table` lacks are integrated in one stacked
+    exp-sinh pass and kept there, so n = 0..12 at one u integrate each
+    moment once.  Each row stops where it would alone, so the result equals
+    one pass over ``powers``.  log v and K(v) depend on the level only, so
     each is computed once per process."""
+    table = _moment_table(kernel, u, cfg)
+    new = [p for p in powers if p not in table]
 
     def sample(v, level):
         damped = np.exp(-u * v)
         lg = _kept(_es_nodes, level)[2]
         kv = _kept(_kernel_on_nodes, level, kernel)
-        out = np.empty((len(powers), len(v)))
-        for row, p in zip(out, powers):
+        out = np.empty((len(new), len(v)))
+        for row, p in zip(out, new):
             row[:] = damped * lg**p * kv if p else damped * kv
         return out
 
-    return _semiaxis_rows(sample, cfg)[0]
-
-
-def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
-    """M_p(u) for every p in ``powers`` as one stacked QuadResult
-    (:func:`_log_moment_rows`)."""
-    return _quad_result(_log_moment_rows(kernel, u, powers, cfg), True)
+    if new:
+        table.update(zip(new, _refine(sample, _es_xw, cfg)[0]))
+    return _quad_result([table[p] for p in powers], True)
 
 
 # --- regularized Binet kernel ------------------------------------------------
@@ -426,11 +435,11 @@ def atan_laplace_check(u: float, x: float, cfg: Optional[QuadConfig] = None) -> 
     """
     u = _require_positive(u, "u")
     x = _require_finite(x, "x")
-    if math.isinf(abs(x) * min(_ATAN_LIVE_MAX / u, math.exp(_ES_ABSCISSA_LOG_CAP))):
+    if math.isinf(abs(x) * min(_EXP_DEAD / u, math.exp(_ES_ABSCISSA_LOG_CAP))):
         raise ValueError(f"x y overflows binary64 where e^(-u y) > 0, got u = {u!r}, x = {x!r}")
 
     def f(y):
-        live = u * y <= _ATAN_LIVE_MAX
+        live = u * y <= _EXP_DEAD
         yl = np.where(live, y, 1.0)
         return np.where(live, np.exp(-u * yl) * np.sin(x * yl) / yl, 0.0)
 

@@ -106,6 +106,10 @@ BAD_CALLS = [
     "alt_zeta_hasse(1.0, inf)",
     "alt_zeta_hasse(1.0, 1.0, 2.5)",
     "alt_zeta_hasse(1.0, 1.0, 1, i_max=2.5)",
+    "alt_zeta_hasse(300.0, 1e3)",
+    "alt_zeta_hasse(-300.0, 1e3)",
+    "alt_zeta_hasse(300.0, 1e-3)",
+    "alt_zeta_hasse(-30.0, 1e12, 1)",
     "alt_deriv_at_1(2.5)",
     "alt_deriv_at_1(1, inf)",
     "alt_deriv_at_1(1, nan)",

@@ -1,11 +1,13 @@
-"""Tests for the per-process tables of level-only arrays and the moment-row slot.
+"""Tests for the per-process tables of level-only arrays and of moment rows.
 
 The exp-sinh nodes, log x, each kernel on the nodes and the Abel-Plana
 weight depend on the quadrature level alone, and the Hasse head's mpf logs
-on (u, J) alone, so each is computed once and kept.  The Hasse and
-Bell-family tails keep the moment rows M_0..M_n of the last (kernel, u,
-cfg) in one slot, ``core._moment_slot``, so n = 0..12 at one u integrate
-each row once.  A cache must be invisible: a cold call and a warm call give
+on (u, J) alone, so each is computed once and kept.  Every moment integral
+M_p(u) -- the Hasse and Bell-family tails, I_n, the inversion identity's
+integral side and zeta'(0, u) -- goes through ``quad._log_moments``, whose
+table ``quad._moment_table`` keeps the rows of the last (kernel, u, cfg), so
+n = 0..12 at one u integrate each row once.  Every table is an
+``lru_cache``.  A cache must be invisible: a cold call and a warm call give
 the same result bit for bit, and memory does not grow with the calls made.
 """
 
@@ -13,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stieltjes import (
@@ -24,7 +26,9 @@ from stieltjes import (
     gamma_coffey,
     gamma_hasse,
     i_n_integral,
+    inversion_sum,
     run_suite,
+    zeta_prime0,
 )
 from stieltjes import core, quad
 
@@ -32,6 +36,7 @@ _CACHES = (
     quad._es_nodes,
     quad._abel_weight,
     quad._kernel_on_nodes,
+    quad._moment_table,
     core._hasse_logs,
     core._hasse_tail_kernel,
 )
@@ -40,10 +45,13 @@ _CACHES = (
 def _clear_caches():
     for cache in _CACHES:
         cache.cache_clear()
-    core._moment_slot[0] = (None, ())
 
 
 def _bits(r):
+    if isinstance(r, float):
+        return r.hex()
+    if isinstance(r, tuple):
+        return tuple(map(_bits, r))
     return r.value.hex(), r.error_estimate.hex(), r.evaluations, r.flags
 
 
@@ -140,63 +148,81 @@ def test_each_hasse_depth_has_its_own_kernel_table(monkeypatch):
     assert not np.array_equal(*tables)
 
 
-_ROUTES = {"hasse": gamma_hasse, "bell": gamma_bell_family}
+_CALLS = {
+    "hasse": lambda n, u, cfg: gamma_hasse(n, u, cfg=cfg),
+    "bell": lambda n, u, cfg: gamma_bell_family(n, u, cfg=cfg),
+    "i_n": lambda n, u, cfg: i_n_integral(n, cfg),
+    "inversion": lambda n, u, cfg: inversion_sum(min(n, 8), u, cfg),
+    "zeta_prime0": lambda n, u, cfg: zeta_prime0(u, cfg),
+}
 _CFGS = (None, QuadConfig(target_tol=1e-8))
 
 
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(sorted(_ROUTES)),
+            st.sampled_from(sorted(_CALLS)),
             st.integers(0, 12),
-            st.sampled_from((0.13, 0.7, 2.5)),
+            st.sampled_from((0.13, 0.7, 1.0, 2.5)),
             st.sampled_from(_CFGS),
         ),
         min_size=1,
         max_size=10,
     )
 )
-@settings(max_examples=25, deadline=None)
-def test_slot_calls_equal_fresh_calls(calls):
-    """Whatever the slot holds when a call comes, the call gives the bits
-    it gives with the slot emptied first."""
-    for route, n, u, cfg in calls:
-        warm = _ROUTES[route](n, u, cfg=cfg)
-        core._moment_slot[0] = (None, ())
-        assert _bits(warm) == _bits(_ROUTES[route](n, u, cfg=cfg)), (route, n, u, cfg)
+@example(
+    [
+        ("bell", 3, 1.0, None),
+        ("i_n", 3, 1.0, None),  # reads the row the Bell call left
+        ("bell", 3, 1.0, _CFGS[1]),  # another cfg, whose M_3 stops a level earlier
+        ("hasse", 3, 0.7, None),
+        ("hasse", 3, 2.5, None),  # another u
+        ("zeta_prime0", 0, 2.5, None),  # another kernel
+        ("inversion", 4, 2.5, None),
+    ]
+)
+@settings(max_examples=50, deadline=None)
+def test_table_calls_equal_fresh_calls(calls):
+    """Whatever the moment table holds when a call comes, the call gives
+    the bits it gives with the table emptied first.  I_n is at u = 1."""
+    for name, n, u, cfg in calls:
+        warm = _CALLS[name](n, u, cfg)
+        quad._moment_table.cache_clear()
+        assert _bits(warm) == _bits(_CALLS[name](n, u, cfg)), (name, n, u, cfg)
 
 
 def test_a_table_at_one_u_integrates_each_moment_row_once(monkeypatch):
     """n = 0..12 at one u asks the engine for each power p once, in order;
-    a call at a new u replaces the slot."""
+    a call at a new u replaces the table."""
     passes = []
+    refine = quad._refine
 
-    def recorded(kernel, u, powers, cfg):
-        passes.append(list(powers))
-        return quad._log_moment_rows(kernel, u, powers, cfg)
+    def recorded(sample, nodes, cfg):
+        rows, stacked = refine(sample, nodes, cfg)
+        passes.append(len(rows))
+        return rows, stacked
 
-    monkeypatch.setattr(core, "_log_moment_rows", recorded)
-    core._moment_slot[0] = (None, ())
+    monkeypatch.setattr(quad, "_refine", recorded)
+    quad._moment_table.cache_clear()
+    kernel = core._hasse_tail_kernel(core._J_MAX)
     for n in range(13):
         gamma_hasse(n, 0.45)
-    assert passes == [[p] for p in range(13)]
-    key, rows = core._moment_slot[0]
-    assert key == (core._hasse_tail_kernel(core._J_MAX), 0.45, None) and len(rows) == 13
+        assert passes == [1] * (n + 1)
+        assert sorted(quad._moment_table(kernel, 0.45, None)) == list(range(n + 1))
 
-    gamma_hasse(5, 0.45)  # rows 0..5 are in the slot: no pass
+    gamma_hasse(5, 0.45)  # rows 0..5 are in the table: no pass
     gamma_hasse(3, 1.6)
-    assert passes[13:] == [[0, 1, 2, 3]]
-    key, rows = core._moment_slot[0]
-    assert key[1:] == (1.6, None) and len(rows) == 4
+    assert passes[13:] == [4]
+    assert sorted(quad._moment_table(kernel, 1.6, None)) == [0, 1, 2, 3]
+    assert quad._moment_table.cache_info().currsize == 1
 
 
 def test_repeated_table_passes_do_not_grow_memory():
     """After a warm-up, 20 passes of n = 0..12 at 8 new u each grow the
-    traced memory by less than 64 KB: the slot holds one u's rows, not one
-    set per u seen, and builds them without filling CPython's tuple free
-    lists.  The Bell-family route shares the slot with Hasse and runs much
-    faster under tracemalloc, which slows mpmath's small allocations
-    ~30-fold."""
+    traced memory by less than 64 KB: the table holds one u's rows, not one
+    set per u seen.  The Bell-family route shares the table with Hasse and
+    runs much faster under tracemalloc, which slows mpmath's small
+    allocations ~30-fold."""
 
     def table_pass(p):
         for i in range(8):
