@@ -81,7 +81,11 @@ def alt_zeta_hasse(s: float, x: float, n: int = 0, *, i_max: int = 120) -> float
     precision is needed.  Truncates once the damped term magnitude stays below 1e-15
     (two consecutive terms, after a warm-up of ten), or at ``i_max``.
     (s, x) is rejected where (x+j)^s or its reciprocal leaves binary64:
-    |s log(x+j)| > log(max float) at j = 0 or j = i_max.
+    |s log(x+j)| > log(max float) at j = 0 or j = i_max.  So is (s, x, n)
+    where an entry or one of its differences overflows, as the sum itself
+    shows: a bound on the entries, log max|a_j| + i_max log 2, would also
+    reject correctly rounded values such as alt_zeta_hasse(59.05, 2.44e-5, 3)
+    ~ -2.57e275.
     """
     s = _require_finite(s, "s")
     x = _require_positive(x, "x")
@@ -93,17 +97,23 @@ def alt_zeta_hasse(s: float, x: float, n: int = 0, *, i_max: int = 120) -> float
     total = 0.0
     weight = 0.5
     small_streak = 0
-    for i in range(i_max + 1):
-        term = weight * table[0]
-        total += term
-        if abs(term) < _TERM_TOL:
-            small_streak += 1
-            if i >= 10 and small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-        weight *= 0.5
-        table = table[:-1] - table[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(i_max + 1):
+            term = weight * table[0]
+            total += term
+            if abs(term) < _TERM_TOL:
+                small_streak += 1
+                if i >= 10 and small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+            weight *= 0.5
+            table = table[:-1] - table[1:]
+    if not math.isfinite(total):
+        raise ValueError(
+            f"log^n(x+j)/(x+j)^s or its differences overflow binary64, "
+            f"got s = {s!r}, x = {x!r}, n = {n}"
+        )
     return float(total)
 
 

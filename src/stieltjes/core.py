@@ -53,8 +53,10 @@ import numpy as np
 
 from .bellpoly import _C_K, _MAX_DERIVATIVE, gamma_derivative_at_one
 from .quad import (
+    _ES_ABSCISSA_LOG_CAP,
     _EXP_DEAD,
     QuadConfig,
+    QuadResult,
     _abel_plana,
     _log_moments,
     binet_bracket,
@@ -356,23 +358,27 @@ def _hasse_head(n: int, u: float, j_max: int) -> float:
     return sum(map(int.__mul__, table, weights)) / (lcm << prec)
 
 
-def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]):
+def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]) -> tuple:
     """(-1)^n sum_{k=0}^{n} C(n,k) c_k M_{n-k}(u), the shared tail of the
-    Hasse and Bell-family routes: returns the sum, its propagated estimate,
-    the largest |term| and the QuadResult of the moment rows 0..n.
+    Hasse and Bell-family routes, and the largest |term|.  The sum is a
+    QuadResult with the propagated estimate and the evaluations and level
+    of the deepest moment; it is converged only if every moment is.
 
     The moments come from :func:`.quad._log_moments`, whose table keeps the
     rows of the last (kernel, u, cfg), so n = 0..12 at one u integrate each
     moment once; the result equals one pass over p = 0..n."""
-    r = _log_moments(kernel, u, range(n + 1), cfg)
+    moments = _log_moments(kernel, u, range(n + 1), cfg)
     total = estimate = max_term = 0.0
     for k, c_k in enumerate(_C_K[: n + 1]):
         weight = comb(n, k) * c_k
-        term = weight * r.value[n - k]
+        term = weight * moments[n - k].value
         total += term
-        estimate += abs(weight) * r.error_estimate[n - k]
+        estimate += abs(weight) * moments[n - k].error_estimate
         max_term = max(max_term, abs(term))
-    return (-1.0) ** n * total, estimate, max_term, r
+    deepest = max(moments, key=lambda r: r.level)
+    converged = all(r.converged for r in moments)
+    tail = QuadResult((-1.0) ** n * total, estimate, deepest.evaluations, converged, deepest.level)
+    return tail, max_term
 
 
 def gamma_hasse(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> MethodResult:
@@ -400,12 +406,12 @@ def gamma_hasse(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> 
     n, u = _require_route(Method.HASSE, n, u)
     shift, shift_estimate, u = _small_u_shift(n, u)
     head = -_hasse_head(n, u, _J_MAX) / (n + 1)
-    tail, tail_estimate, tail_term, r = _moment_convolution(_hasse_tail_kernel(_J_MAX), n, u, cfg)
-    value = head + tail + shift
+    tail, tail_term = _moment_convolution(_hasse_tail_kernel(_J_MAX), n, u, cfg)
+    value = head + tail.value + shift
     max_term = max(abs(value), abs(head), tail_term)
-    estimate = tail_estimate + shift_estimate
-    evaluations = _J_MAX + 1 + r.evaluations
-    return _result(Method.HASSE, value, estimate, max_term, evaluations, r.converged, 4e-16)
+    estimate = tail.error_estimate + shift_estimate
+    evaluations = _J_MAX + 1 + tail.evaluations
+    return _result(Method.HASSE, value, estimate, max_term, evaluations, tail.converged, 4e-16)
 
 
 @lru_cache(maxsize=1024)
@@ -468,11 +474,12 @@ def gamma_bell_family(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = Non
     n, u = _require_route(Method.BELL_FAMILY, n, u)
     shift, shift_estimate, u = _small_u_shift(n, u)
     prefactor = _log_power_prefactor(n, u) + shift
-    total, estimate, max_term, r = _moment_convolution(binet_bracket, n, u, cfg)
-    max_term = max(abs(prefactor), max_term)
+    tail, tail_term = _moment_convolution(binet_bracket, n, u, cfg)
+    max_term = max(abs(prefactor), tail_term)
+    estimate = tail.error_estimate + shift_estimate
     return _result(
-        Method.BELL_FAMILY, prefactor + total, estimate + shift_estimate, max_term, r.evaluations,
-        r.converged,
+        Method.BELL_FAMILY, prefactor + tail.value, estimate, max_term, tail.evaluations,
+        tail.converged,
     )
 
 
@@ -570,6 +577,13 @@ def gamma_limit(n: int, r: int) -> MethodResult:
 # --- inversion / positivity machinery ---------------------------------------
 
 
+# The integral side of inversion_sum stops at the last exp-sinh node,
+# v = e^668.  Against the sum side over n = 0..8 its truncated tail e^{-uv}
+# costs 2.5e-10 relative at u e^668 = 20, 1e-13 at 27 and 1.9e-14 at 28.4;
+# from 28.5 it is below the ~1.4e-14 to which the sides agree at larger u.
+_INVERSION_UV_MIN = 28.5
+
+
 def inversion_sum(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> Tuple[float, float]:
     """Both sides of the inversion identity expressing the pure log-power
     Binet integrals through gamma-values:
@@ -578,11 +592,26 @@ def inversion_sum(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> T
                          + log^{k+1}(u)/(k+1)] Gamma^{(n-k)}(1),
         integral side: int_0^inf e^{-u v} log^n(v) B(v) dv.
 
-    Returned as (sum side, integral side).
+    Returned as (sum side, integral side).  u below 28.5 e^-668 (~2.2e-289,
+    ``_INVERSION_UV_MIN``) is rejected, where the integral side is truncated
+    at the last node, and so is (n, u) where its level sums overflow.  The
+    integral is ~(log(1/u) - gamma)^n/(2u); a level-L sum is ~2^(L-1) times
+    that once the peak at v ~ 1/u is resolved, and ~log(1/u) times it at
+    the first levels.  At the default 12 levels that rejects n = 8 below
+    u ~ 1.8e-283; on a grid of 0.004 decades in u it rejects every inf of
+    n = 6, 7, 8 and no finite value.
     """
     n = _require_order(n, "n", 0, 8)
     u = _require_positive(u, "u")
-    return _inversion_sum_side(n, u), _log_moments(binet_bracket, u, (n,), cfg).value[0]
+    if u * math.exp(_ES_ABSCISSA_LOG_CAP) < _INVERSION_UV_MIN:
+        raise ValueError(f"e^(-u v) has not decayed by the last node v = e^668, got u = {u!r}")
+    lg = -math.log(u)
+    if lg > 1.0:
+        size = lg + n * math.log(lg - np.euler_gamma) - math.log(2.0)
+        spread = max(((cfg or QuadConfig()).max_level - 1) * math.log(2.0), math.log(lg))
+        if size + spread > _LOG_MAX:
+            raise ValueError(f"the integral side's level sums overflow binary64 at n = {n}, u = {u!r}")
+    return _inversion_sum_side(n, u), _log_moments(binet_bracket, u, (n,), cfg)[0].value
 
 
 def _inversion_sum_side(n: int, u: float) -> float:
@@ -607,10 +636,8 @@ def i_n_integral(n: int, cfg: Optional[QuadConfig] = None) -> MethodResult:
     the positive v > 1 part once n is large and odd.
     """
     n = _require_order(n, "n", 0, _MAX_DERIVATIVE)
-    r = _log_moments(binet_bracket, 1.0, (n,), cfg)
-    return _result(
-        Method.BELL_FAMILY, r.value[0], r.error_estimate[0], 0.0, r.evaluations, r.converged
-    )
+    r = _log_moments(binet_bracket, 1.0, (n,), cfg)[0]
+    return _result(Method.BELL_FAMILY, r.value, r.error_estimate, 0.0, r.evaluations, r.converged)
 
 
 # --- zeta derivatives at s = 0 ----------------------------------------------
@@ -624,12 +651,15 @@ def zeta_prime0(u: float, cfg: Optional[QuadConfig] = None) -> float:
     uses its series form near 0 (removable singularity, limit 1/12).  Below
     u = 1e-150, where e^{-u v} has not decayed by the last exp-sinh node,
     the value is the exact shift zeta'(0, u+1) - log u, the gamma_0 routes'
-    rule.
+    rule.  u where (u - 1/2) log u overflows binary64 (above ~2.56e305) is
+    rejected.
     """
     u = _require_positive(u, "u")
+    if math.isinf((0.5 - u) * math.log(u)):
+        raise ValueError(f"(u - 1/2) log u overflows binary64 at u = {u!r}")
     if _beyond_peak(0, u):
         return zeta_prime0(u + 1.0, cfg) - math.log(u)
-    moment = _log_moments(binet_bracket_over_v, u, (0,), cfg).value[0]
+    moment = _log_moments(binet_bracket_over_v, u, (0,), cfg)[0].value
     return moment - (0.5 - u) * math.log(u) - u
 
 
@@ -640,9 +670,12 @@ def zeta_second0(u: float, cfg: Optional[QuadConfig] = None) -> float:
     Its u-derivative equals 2 gamma_1(u), which the test suite checks by
     central finite differences against :func:`gamma_hasse`.  Below
     u = 1e-150, where u^2 underflows in log(u^2 + x^2), the value is the
-    exact shift zeta''(0, u+1) + log^2 u, as in :func:`zeta_prime0`.
+    exact shift zeta''(0, u+1) + log^2 u, as in :func:`zeta_prime0`.  u
+    where u^2 overflows binary64 (above ~1.34e154) is rejected.
     """
     u = _require_positive(u, "u")
+    if math.isinf(u * u):
+        raise ValueError(f"u^2 overflows binary64 in log(u^2 + x^2) at u = {u!r}")
     if _beyond_peak(0, u):
         return zeta_second0(u + 1.0, cfg) + math.log(u) ** 2
     r = _abel_plana(lambda x: np.log(u * u + x * x) * np.arctan2(x, u), cfg)

@@ -12,12 +12,12 @@ Convergence is declared when successive levels differ by at most
 Integrands must be vectorized: f(x) takes the whole node array and returns
 one row of samples, shape (len(x),), or a stack of k rows, (k, len(x)); any
 other shape raises :class:`IntegrandError`, and f's own exceptions pass
-through.  A stack costs one pass, since the nodes do not depend on f; each
-row keeps the value and estimate of the first level at which it met the
-test, exactly as if it had been integrated alone.  ``QuadResult.level`` is
-that level, one per row for a stack (``max_level`` for a row that never met
-the test); a row's cost is the evaluations through its level, the same
-whether it was integrated alone or in a stack.
+through.  A stack costs one pass, since the nodes do not depend on f, and
+comes back as a tuple of k :class:`QuadResult`, one per row.  Each row
+keeps the value and estimate of the first level at which it met the test
+(``QuadResult.level``; ``max_level`` for a row that never met it) and the
+evaluations through that level, so its result equals the one it gets
+integrated alone.
 
 Numerical policy, all consequences of binary64:
 
@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -122,22 +122,21 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """One integral: value, last-two-levels error estimate, sample count,
-    and the refinement level whose value is reported.
+    """One integrated row: value, last-two-levels error estimate, the
+    samples through the refinement level whose value is reported, and that
+    level.
 
     ``converged`` is False when ``max_level`` was exhausted before the
     level-difference test was met; the value and estimate are still reported,
-    and ``level`` is ``max_level``.  A stacked integrand gives tuples of
-    per-row values, estimates and levels; it is ``converged`` only if every
-    row is, and ``evaluations`` counts one pass, which is the cost of its
-    deepest row.
+    and ``level`` is ``max_level``.  A stacked integrand gives one result
+    per row.
     """
 
-    value: Union[float, Tuple[float, ...]]
-    error_estimate: Union[float, Tuple[float, ...]]
+    value: float
+    error_estimate: float
     evaluations: int
     converged: bool
-    level: Union[int, Tuple[int, ...]]
+    level: int
 
 
 # Level-only arrays are kept per process up to the default max_level: all of
@@ -179,11 +178,10 @@ def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadC
     ``sample(x, L)`` -> the integrand on them, so that an integrand can look
     up its own level-only arrays.
 
-    Returns (rows, stacked): one [total, estimate, converged, level,
-    evaluations] list per integrand row, with the level the row stopped at
-    (``max_level`` if it never converged) and the evaluations through that
-    level; a row whose total is not finite stays unconverged.
-    :func:`_quad_result` makes the :class:`QuadResult`.
+    Returns one :class:`QuadResult` per integrand row: the result for one
+    row of samples, a tuple of them for a stack.  A row reports the level
+    it stopped at (``max_level`` if it never converged) and the evaluations
+    through that level; a row whose total is not finite stays unconverged.
     """
     cfg = cfg if cfg is not None else QuadConfig()
     evaluations = 0
@@ -194,46 +192,45 @@ def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadC
         h = 2.0 ** (-level)
         stacked = isinstance(sums, list)
         pieces = [h * s for s in sums] if stacked else [h * sums]
+        if not all(map(math.isfinite, pieces)):
+            # On a finite interval near 1e308 wide, sum f w can overflow where
+            # sum f (h w) does not; a piece that is still inf stays unconverged.
+            sums = _level_sums(sample, x, h * w, level)
+            pieces = sums if stacked else [sums]
         if level == 0:
-            rows = [[piece, math.inf, False, cfg.max_level, 0] for piece in pieces]
+            # [value, error_estimate, evaluations, converged, level], as QuadResult
+            rows = [[piece, math.inf, 0, False, cfg.max_level] for piece in pieces]
             pending = len(rows)
             continue
         for row, piece in zip(rows, pieces):
-            if not row[2]:
+            if not row[3]:
                 total = 0.5 * row[0] + piece
                 row[1] = abs(total - row[0])
                 row[0] = total
                 tol = cfg.target_tol * max(1.0, abs(total))
                 if level >= 2 and row[1] <= tol and math.isfinite(total):
-                    row[2:] = True, level, evaluations
+                    row[2:] = evaluations, True, level
                     pending -= 1
         if not pending:
             break
     for row in rows:
-        if not row[2]:
-            row[4] = evaluations
-    return rows, stacked
-
-
-def _quad_result(rows, stacked: bool) -> QuadResult:
-    """The QuadResult of :func:`_refine`'s rows: scalar fields for one row,
-    tuples for a stack, whose pass costs as much as its deepest row."""
-    if not stacked:
-        total, estimate, converged, level, evaluations = rows[0]
-        return QuadResult(total, estimate, evaluations, converged, level)
-    values, estimates, converged, levels, evaluations = zip(*rows)
-    return QuadResult(values, estimates, max(evaluations), all(converged), levels)
+        if not row[3]:
+            row[2] = evaluations
+    # A tuple of a list, not of a generator, keeps repeated passes' memory flat.
+    results = [QuadResult(*row) for row in rows]
+    return tuple(results) if stacked else results[0]
 
 
 def integrate_finite(
     f: Callable, a: float, b: float, cfg: Optional[QuadConfig] = None
-) -> QuadResult:
+) -> QuadResult | tuple:
     """tanh-sinh integral of f over the finite interval (a, b).
 
     Endpoints are never sampled; integrable endpoint singularities are
     admissible (see the module docstring for the binary64 accuracy caveats).
     b - a must be finite and some binary64 value must lie strictly between
-    a and b.  Non-finite samples raise :class:`IntegrandError`.
+    a and b.  Non-finite samples raise :class:`IntegrandError`.  A stacked
+    f gives a tuple of results, one per row.
     """
     a = float(a)
     b = float(b)
@@ -254,7 +251,7 @@ def integrate_finite(
         keep = (s >= _TRUNCATION_GUARD) & (x > a) & (x < b)
         return x[keep], w[keep]
 
-    return _quad_result(*_refine(lambda x, level: f(x), nodes, cfg))
+    return _refine(lambda x, level: f(x), nodes, cfg)
 
 
 @lru_cache(maxsize=None)
@@ -279,19 +276,15 @@ def _es_xw(level: int) -> tuple:
     return _kept(_es_nodes, level)[:2]
 
 
-def _semiaxis(sample: Callable, cfg: Optional[QuadConfig]) -> QuadResult:
-    """exp-sinh integral of the level-aware integrand sample(x, level)."""
-    return _quad_result(*_refine(sample, _es_xw, cfg))
-
-
-def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadResult:
+def integrate_semiaxis(f: Callable, cfg: Optional[QuadConfig] = None) -> QuadResult | tuple:
     """exp-sinh integral of f over (0, inf).
 
     The integrand must decay exponentially at infinity and may grow at most
     like a power of log at 0.  Non-finite samples raise
-    :class:`IntegrandError`.
+    :class:`IntegrandError`.  A stacked f gives a tuple of results, one per
+    row.
     """
-    return _semiaxis(lambda x, level: f(x), cfg)
+    return _refine(lambda x, level: f(x), _es_xw, cfg)
 
 
 @lru_cache(maxsize=None)
@@ -306,17 +299,17 @@ def _abel_weight(level: int) -> tuple:
     return _read_only(xc, x > _WEIGHT_CUTOFF, expm1_2pi_x)
 
 
-def _abel_plana(g: Callable, cfg: Optional[QuadConfig]) -> QuadResult:
+def _abel_plana(g: Callable, cfg: Optional[QuadConfig]) -> QuadResult | tuple:
     """int_0^inf g(x)/(e^{2 pi x} - 1) dx, the Abel-Plana weight of every
-    Hermite-type integral; g may return a stack of rows.  g only sees the
-    clamped nodes min(x, _WEIGHT_CUTOFF); past the cutoff the weighted
-    integrand is identically zero to binary64."""
+    Hermite-type integral; g may return a stack of rows, which gives a
+    tuple of results.  g only sees the clamped nodes min(x, _WEIGHT_CUTOFF);
+    past the cutoff the weighted integrand is identically zero to binary64."""
 
     def sample(x, level):
         xc, beyond, expm1_2pi_x = _kept(_abel_weight, level)
         return np.where(beyond, 0.0, g(xc) / expm1_2pi_x)
 
-    return _semiaxis(sample, cfg)
+    return _refine(sample, _es_xw, cfg)
 
 
 @lru_cache(maxsize=64)
@@ -329,15 +322,15 @@ def _kernel_on_nodes(level: int, kernel: Callable) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _moment_table(kernel: Callable, u: float, cfg: Optional[QuadConfig]) -> dict:
-    """{p: the :func:`_refine` row of M_p(u)} for the last (kernel, u, cfg)
-    that :func:`_log_moments` was asked for; one entry, so a new key drops
-    the old rows."""
+    """{p: the QuadResult of M_p(u)} for the last (kernel, u, cfg) that
+    :func:`_log_moments` was asked for; one entry, so a new key drops the
+    old rows."""
     return {}
 
 
-def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> QuadResult:
+def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) -> tuple:
     """M_p(u) = int_0^inf log^p(v) e^{-u v} K(v) dv for every p in
-    ``powers``, as one stacked QuadResult.
+    ``powers``, one QuadResult each.
 
     The powers that :func:`_moment_table` lacks are integrated in one stacked
     exp-sinh pass and kept there, so n = 0..12 at one u integrate each
@@ -357,8 +350,8 @@ def _log_moments(kernel: Callable, u: float, powers, cfg: Optional[QuadConfig]) 
         return out
 
     if new:
-        table.update(zip(new, _refine(sample, _es_xw, cfg)[0]))
-    return _quad_result([table[p] for p in powers], True)
+        table.update(zip(new, _refine(sample, _es_xw, cfg)))
+    return tuple([table[p] for p in powers])
 
 
 # --- regularized Binet kernel ------------------------------------------------
@@ -413,11 +406,14 @@ def legendre_relation_check(t: float, cfg: Optional[QuadConfig] = None) -> float
     is the analytic zero of the identity and is returned for the harness.
     t below 2^-1021 (~4.5e-308) is rejected: t/2 is then subnormal, so
     coth(t/2)/2 and 1/t no longer cancel exactly (at 5.6e-309 the residual
-    is 1.6e293), and below ~5.6e-309 1/t overflows binary64.
+    is 1.6e293), and below ~5.6e-309 1/t overflows binary64.  t where x t
+    overflows on the nodes x <= 200 (above ~8.99e305) is rejected too.
     """
     t = _require_positive(t, "t")
     if t < 2.0 * np.finfo(float).tiny:
         raise ValueError(f"t must be >= 2^-1021, so that t/2 is not subnormal, got t = {t!r}")
+    if math.isinf(_WEIGHT_CUTOFF * t):
+        raise ValueError(f"x t overflows binary64 on the nodes x <= {_WEIGHT_CUTOFF:g}, got t = {t!r}")
     result = _abel_plana(lambda x: np.sin(x * t), cfg)
     closed = 0.5 / math.tanh(0.5 * t) - 1.0 / t
     return abs(2.0 * result.value - closed)

@@ -103,8 +103,13 @@ def _require_binary64(value, what: str) -> float:
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0; relative error <= 1e-13 on [1e-3, 1e6] away
-    from the zeros at x = 1 and x = 2, absolute error ~1e-15 next to them."""
-    return math.lgamma(_require_positive(x))
+    from the zeros at x = 1 and x = 2, absolute error ~1e-15 next to them.
+    x where log Gamma(x) overflows binary64 (above ~2.56e305) is rejected."""
+    x = _require_positive(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError(f"log Gamma(x) overflows binary64 at x = {x!r}") from None
 
 
 def digamma(x: float) -> float:

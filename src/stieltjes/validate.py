@@ -347,9 +347,9 @@ def suite_stieltjes(cfg: Optional[QuadConfig] = None) -> Iterator[CheckRecord]:
         yield _check("stieltjes.delta", {"n": n}, *delta_n(n), tol, {"m": 10**6})
     # The Bell family with kernel B - 1/2 (its prefactor is 0 at u = 1, n >= 1).
     for n in (1, 2, 3):
-        bare, _, _, r = _moment_convolution(_bare_kernel, n, 1.0, cfg)
+        bare = _moment_convolution(_bare_kernel, n, 1.0, cfg)[0]
         half = gamma_bell_family(n, 1.0, cfg=cfg)
-        yield _check("stieltjes.bare_kernel", {"n": n}, bare, half, 1e-10, runs=(r,))
+        yield _check("stieltjes.bare_kernel", {"n": n}, bare, half, 1e-10)
     for u in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
         yield _check("stieltjes.digamma", {"u": u}, gamma_value(0, u), -digamma(u), 1e-10)
     for k in range(5):

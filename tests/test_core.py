@@ -330,8 +330,23 @@ def test_bell_family_bare_kernel(n):
     """At u = 1 and n >= 1 the Bell family's prefactor is 0 and the kernel
     B - 1/2 gives gamma_n as well."""
     ref = refs.GAMMA_AT_1[n]
-    value = _moment_convolution(lambda v: binet_bracket(v) - 0.5, n, 1.0, None)[0]
+    value = _moment_convolution(lambda v: binet_bracket(v) - 0.5, n, 1.0, None)[0].value
     assert abs(value - ref) < _scaled(ref, 1e-12)
+
+
+@pytest.mark.parametrize("max_level", [4, 12])
+def test_moment_convolution_reports_its_deepest_moment(max_level):
+    """The convolved tail has the evaluations and level of its deepest
+    moment and is converged only if every moment is.  At u = 3 the moments
+    0..6 stop at levels 4 and 5; capped at level 4, M_0..M_3 converge and
+    M_4..M_6 do not."""
+    cfg = QuadConfig(max_level=max_level)
+    moments = quad._log_moments(binet_bracket, 3.0, range(7), cfg)
+    tail = _moment_convolution(binet_bracket, 6, 3.0, cfg)[0]
+    assert len({(r.level, r.converged) for r in moments}) == 2
+    assert tail.evaluations == max(r.evaluations for r in moments)
+    assert tail.level == max(r.level for r in moments)
+    assert tail.converged == all(r.converged for r in moments) == (max_level == 12)
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,24 @@ def test_nonconvergence_is_flagged_not_raised():
 
 def test_overflowing_sum_is_never_converged():
     """A level sum that overflows binary64 is inf: the row stays unconverged,
-    and no numpy overflow warning escapes (warnings are errors here)."""
-    r = integrate_finite(lambda v: np.full_like(v, 1.0), -1e308, 0.0)
+    and no numpy overflow warning escapes (warnings are errors here).  The
+    integral, 1e309, overflows too."""
+    r = integrate_finite(lambda v: np.full_like(v, 1e308), 0.0, 10.0)
     assert not r.converged
     assert math.isinf(r.value)
+
+
+def test_wide_interval_sum_is_scaled_before_it_overflows():
+    """On (-1e308, 0) the sum of f w overflows though h times it does not:
+    the integral of 1 is 1e308, converged, and (-1e307, 0) keeps its bits."""
+
+    def one(v):
+        return np.full_like(v, 1.0)
+
+    wide = integrate_finite(one, -1e308, 0.0)
+    assert wide.converged and wide.value == 1e308
+    narrow = integrate_finite(one, -1e307, 0.0)
+    assert (narrow.value, narrow.evaluations, narrow.level) == (1e307, 74, 3)
 
 
 def test_level_budget_controls_accuracy():
@@ -275,21 +289,16 @@ def test_config_validation():
     ids=["semiaxis_log_moments", "finite_starved", "finite_staggered", "abel_plana_hermite1"],
 )
 def test_stacked_rows_match_scalar_calls(rows, integrate, row_converged, stop_levels):
-    """A (k, len(x)) integrand is one pass whose rows equal k separate
-    calls bit for bit; the pass converges only if every row does and costs
-    as many evaluations as the slowest row.  ``stop_levels`` counts the
-    distinct levels at which the scalar calls stop; each row's ``level`` is
-    its scalar call's."""
+    """A (k, len(x)) integrand is one pass whose k results equal k separate
+    calls bit for bit: value, estimate, evaluations, convergence and level.
+    ``stop_levels`` counts the distinct levels at which the scalar calls
+    stop, so rows of one pass report different levels and costs."""
     stacked = integrate(lambda v: np.array([f(v) for f in rows]))
-    scalar = [integrate(f) for f in rows]
+    scalar = tuple(integrate(f) for f in rows)
     assert [r.converged for r in scalar] == row_converged
     assert len({r.evaluations for r in scalar}) == stop_levels
     assert len({r.level for r in scalar}) == stop_levels
-    assert stacked.level == tuple(r.level for r in scalar)
-    assert stacked.value == tuple(r.value for r in scalar)
-    assert stacked.error_estimate == tuple(r.error_estimate for r in scalar)
-    assert stacked.converged == all(row_converged)
-    assert stacked.evaluations == max(r.evaluations for r in scalar)
+    assert stacked == scalar
 
 
 @pytest.mark.parametrize(
