@@ -129,6 +129,10 @@ class MethodResult:
     plus representation roundoff), not a rigorous bound.  ``flags`` may
     contain ``"cancellation"`` (some intermediate exceeded |value| * 1e8) or
     ``"no_convergence"`` (an underlying quadrature exhausted its levels).
+    ``evaluations`` is the intrinsic cost of the value -- the nodes of the
+    passes it rests on, plus the Hasse head's J + 1 terms -- not the work
+    a call did: a call answered from the per-process tables reports the
+    same count as a cold one.
     """
 
     value: float
@@ -294,16 +298,18 @@ def _hasse_tail_kernel(j_max: int):
 
 
 @lru_cache(maxsize=1)
-def _hasse_logs(u: float, j_max: int, dps: int) -> tuple:
-    """The logs log(u + k), k = 0..J, at ``dps`` digits, as raw mpf tuples
-    (``mpf._mpf_``) for :func:`_hasse_head`.  Every n of a table at one u
-    shares them; one entry, so no request meets a table left by an earlier
-    one at another u."""
+def _hasse_logs(u: float, j_max: int, prec: int) -> Tuple[int, ...]:
+    """The logs log(u + k), k = 0..J, in fixed point with ``prec``
+    fractional bits: each computed by mpmath at prec + 10 bits and cut once
+    (floor) to an int, so it is within 2^-prec of the exact log.  Every n of
+    a table at one u shares them; one entry, so no request meets a table
+    left by an earlier one at another u."""
     import mpmath as mp
+    from mpmath.libmp import to_fixed
 
-    with mp.workdps(dps):
+    with mp.workprec(prec + 10):
         um = mp.mpf(u)
-        return tuple(mp.log(um + k)._mpf_ for k in range(j_max + 1))
+        return tuple(to_fixed(mp.log(um + k)._mpf_, prec) for k in range(j_max + 1))
 
 
 @lru_cache(maxsize=4)
@@ -322,40 +328,28 @@ def _hasse_weights(j_max: int) -> Tuple[int, Tuple[int, ...]]:
 def _hasse_head(n: int, u: float, j_max: int) -> float:
     """sum_{j=0}^{J} [1/(j+1)] sum_k C(j,k)(-1)^k log^{n+1}(u+k).
 
-    The table a_k = log^{n+1}(u+k) is computed on the raw mpf logs of
-    :func:`_hasse_logs` by mpmath's ``mpf_pow_int`` at ``prec`` bits,
-    rounded to nearest (the call ``mpf.__pow__`` makes, without its
-    wrapper), and cut once to fixed point with ``prec`` fractional bits.
-    Over the common denominator
-    L = lcm(1..J+1) the double sum regroups into one fixed weight per entry,
-    sum_k W_k a_k (``_hasse_weights``), an exact integer dot product, and
-    one correctly rounded int/int division gives the binary64 head.  That
-    is the same integer the iterated forward differences of the table give,
-    so the head is bit-identical to those differences done in mpf at this
-    precision, and so is every gamma_hasse value built on it; a different
-    dps could move the last bit of a head that sits near a binary64
-    rounding boundary.
+    Over the common denominator L = lcm(1..J+1) the double sum regroups
+    into one fixed weight per entry, sum_k W_k a_k (``_hasse_weights``).
+    With the fixed-point logs l_k of :func:`_hasse_logs`, a_k = l_k^{n+1}
+    is an exact Python int scaled by 2^(prec (n+1)), so the head is one
+    exact integer sum, sum_k W_k l_k^{n+1}, and one correctly rounded
+    int/int division by L 2^(prec (n+1)).  prec = J + 86 bits (206 at
+    J = 120) pays for the weights' growth below.
 
-    The partial terms are exact integers, so the only errors are the
-    table's and the final rounding.  Each entry is off by at most
-    (n + 3) 2^-prec max(1, |a_k|) (the rounded log, its power and the
-    fixed-point cut), and sum_k |W_k|/L = sum_j 2^j/(j+1) <= 2^J, so the
-    head is within (n + 3) 2^(J - prec) max(1, |a_k|) of the exact sum:
-    below 2e-25 of the largest entry at J = 120 (prec = 206) for n <= 12.
-    The working precision grows with j_max (~0.30 digits per order) to pay
-    for that 2^J.  The rounded head is the only binary64 intermediate, so
-    it alone enters gamma_hasse's roundoff term.
+    The power and the sum are exact, so the only error is each log's: the
+    cut, below 2^-prec, plus mpmath's rounding of u + k and of the log at
+    prec + 10 bits, below 2^-(prec+8) max(1, |log(u+k)|).  A power
+    multiplies that by at most (n + 1) max(1, |log(u+k)|)^n, so each entry
+    is off by at most (n + 2) 2^-prec max(1, |a_k|), and
+    sum_k |W_k|/L = sum_j 2^j/(j+1) <= 2^J, so the head is within
+    (n + 2) 2^(J - prec) max(1, |a_k|) of the exact sum: below 2e-25 of the
+    largest entry for n <= 12.  The rounded head is the only binary64
+    intermediate, so it alone enters gamma_hasse's roundoff term.
     """
-    from mpmath.libmp import dps_to_prec, mpf_pow_int, round_nearest, to_fixed
-
-    dps = int(0.302 * j_max) + 25
-    prec = dps_to_prec(dps)
-    table = [
-        to_fixed(mpf_pow_int(lg, n + 1, prec, round_nearest), prec)
-        for lg in _hasse_logs(u, j_max, dps)
-    ]
+    prec = j_max + 86
     lcm, weights = _hasse_weights(j_max)
-    return sum(map(int.__mul__, table, weights)) / (lcm << prec)
+    logs = _hasse_logs(u, j_max, prec)
+    return sum(w * lg ** (n + 1) for w, lg in zip(weights, logs)) / (lcm << (prec * (n + 1)))
 
 
 def _moment_convolution(kernel, n: int, u: float, cfg: Optional[QuadConfig]) -> tuple:
@@ -389,9 +383,10 @@ def gamma_hasse(n: int, u: float = 1.0, *, cfg: Optional[QuadConfig] = None) -> 
 
     The outer terms decay only like ~1/(j^{u+1} log j), far too slowly to
     truncate at any affordable j, so the series is split exactly: terms
-    j <= J = _J_MAX are summed exactly (one fixed-point integer dot product,
-    see ``_hasse_head``), and the infinite remainder is resummed in
-    closed form through its integral representation
+    j <= J = _J_MAX are summed exactly (one integer sum over the
+    fixed-point logs raised to n + 1, one rounding; see ``_hasse_head``),
+    and the infinite remainder is resummed in closed form through its
+    integral representation
 
         sum_{j>J} (...)  =  -(-1)^{n+1} sum_{m=0}^{n} C(n,m) c_m
                             int_0^inf log^{n-m}(t) e^{-u t} rho_J(t)/t dt,

@@ -422,22 +422,26 @@ def legendre_relation_check(t: float, cfg: Optional[QuadConfig] = None) -> float
 def atan_laplace_check(u: float, x: float, cfg: Optional[QuadConfig] = None) -> float:
     """Residual |int_0^inf e^{-u y} sin(x y)/y dy - atan(x/u)|.
 
-    The y -> 0 limit of the integrand is x; the engine never samples y = 0,
-    and sin(x y)/y is stable down to subnormal y, so small y needs no
-    special case.  Past u y = 800, e^{-u y} has underflowed to 0, so those
-    nodes are masked, as in :func:`stieltjes.core.hurwitz_laplace`: there
-    x y may overflow, and sin(inf) is NaN.  (u, x) where x y can still
-    overflow on the live nodes, y <= min(800/u, e^668), is rejected.
+    Integrated in w = u y, as :func:`stieltjes.core.hurwitz_laplace` is, as
+    int_0^inf e^{-w} sin(r w)/w dw with r = x/u, whose mass sits at w ~ 1
+    for every u; in y it sits at y ~ 1/u, which the nodes miss at extreme
+    u.  The w -> 0 limit of the integrand is r; the engine never samples
+    w = 0, and sin(r w)/w is stable down to subnormal w, so small w needs
+    no special case.  Past w = 800, e^{-w} has underflowed to 0, so those
+    nodes are masked: there r w may overflow, and sin(inf) is NaN.  (u, x)
+    where r w can still overflow on the live nodes, |r| 800 past the
+    largest binary64, is rejected.
     """
     u = _require_positive(u, "u")
     x = _require_finite(x, "x")
-    if math.isinf(abs(x) * min(_EXP_DEAD / u, math.exp(_ES_ABSCISSA_LOG_CAP))):
-        raise ValueError(f"x y overflows binary64 where e^(-u y) > 0, got u = {u!r}, x = {x!r}")
+    rate = x / u
+    if math.isinf(abs(rate) * _EXP_DEAD):
+        raise ValueError(f"(x/u) w overflows binary64 where e^(-w) > 0, got u = {u!r}, x = {x!r}")
 
-    def f(y):
-        live = u * y <= _EXP_DEAD
-        yl = np.where(live, y, 1.0)
-        return np.where(live, np.exp(-u * yl) * np.sin(x * yl) / yl, 0.0)
+    def f(w):
+        live = w <= _EXP_DEAD
+        wl = np.where(live, w, 1.0)
+        return np.where(live, np.exp(-wl) * np.sin(rate * wl) / wl, 0.0)
 
     result = integrate_semiaxis(f, cfg)
     return abs(result.value - math.atan2(x, u))

@@ -1,12 +1,13 @@
-"""Base special functions: log-gamma, digamma, polygamma, Hurwitz zeta (s > 1).
+"""Base special functions: log-gamma, digamma, Hurwitz zeta (s > 1).
 
-log Gamma comes from :func:`math.lgamma`; psi and psi^{(p)} are mpmath
-values rounded once to binary64.  Besides the Hasse head they are mpmath's
-only use, so they import it themselves and ``import stieltjes`` does not.
-All are domain-checked here, an x whose psi or psi^{(p)} overflows binary64
-included; re-deriving them would add risk, not value.  The module also holds
-the package's argument validators, the Hurwitz overflow rule among them.
-The Hurwitz zeta function for s > 1 is an
+log Gamma comes from :func:`math.lgamma` and psi is mpmath's value
+rounded once to binary64.  mpmath has two jobs in the package: psi here
+and the J + 1 fixed-point logs of the Hasse head in
+:mod:`stieltjes.core`; each imports it itself, so ``import stieltjes``
+does not.  All are domain-checked here, an x whose psi overflows
+binary64 included; re-deriving psi would add risk, not value.  The module
+also holds the package's argument validators, the Hurwitz overflow rule
+among them.  The Hurwitz zeta function for s > 1 is an
 explicit truncated series with an Euler-Maclaurin tail,
 
     zeta(s, x) = sum_{k=0}^{N-1} (x+k)^{-s} + M^{1-s}/(s-1) + M^{-s}/2
@@ -28,11 +29,9 @@ import numpy as np
 __all__ = [
     "log_gamma",
     "digamma",
-    "polygamma",
     "hurwitz_zeta_series",
 ]
 
-_MAX_POLYGAMMA = 12
 # log of the largest binary64: the Hurwitz evaluators reject larger u^{-s}.
 _LOG_MAX = math.log(np.finfo(float).max)
 # mpmath's psi carries only ~10 guard bits of *absolute* precision, so at
@@ -120,17 +119,6 @@ def digamma(x: float) -> float:
     x = _require_positive(x)
     with mp.workprec(_PSI_PREC):
         return _require_binary64(mp.digamma(x), f"psi({x!r})")
-
-
-def polygamma(p: int, x: float) -> float:
-    """psi^{(p)}(x) = (-1)^{p+1} p! zeta(p+1, x) for 1 <= p <= 12, x > 0.
-    x where the result, ~ (-1)^{p+1} p!/x^{p+1}, overflows binary64 is
-    rejected (below ~7e-155 at p = 1)."""
-    import mpmath as mp
-
-    p = _require_order(p, "polygamma order", 1, _MAX_POLYGAMMA)
-    x = _require_positive(x)
-    return _require_binary64(mp.polygamma(p, x), f"psi^({p})({x!r})")
 
 
 def hurwitz_zeta_series(s: float, x: float) -> float:

@@ -61,7 +61,6 @@ FUZZ = {
     # specfun
     "log_gamma": (300, _pos),
     "digamma": (300, _pos),
-    "polygamma": (300, _order(1, 12), _pos),
     "hurwitz_zeta_series": (300, _uniform(1.0, 50.0), _pos),
     # quad
     "integrate_finite": (150, _cos, _real, _real),

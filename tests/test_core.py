@@ -211,6 +211,22 @@ def test_hasse_head_matches_mpf_differences(j_max):
             assert _hasse_head(n, u, j_max) == _hasse_head_mpf(n, u, j_max), (n, u)
 
 
+@pytest.mark.parametrize(
+    "u", [1e-3, 0.1, 0.37, 1.0, 3.3, 10.0, 100.0, 2.2407724364095487, 2.3751744891096913]
+)
+def test_hasse_head_is_the_correctly_rounded_sum(u):
+    """The head is sum_k W_k log^{n+1}(u+k) / L at 160 digits, the same
+    weights, rounded once to binary64.  The last two u are where a head
+    whose powers were rounded at working precision sat 1 ulp off (n = 11
+    and n = 12)."""
+    lcm, weights = _hasse_weights(120)
+    with mp.workdps(160):
+        logs = [mp.log(mp.mpf(u) + k) for k in range(121)]
+        for n in range(13):
+            exact = mp.fsum(w * lg ** (n + 1) for w, lg in zip(weights, logs)) / lcm
+            assert _hasse_head(n, u, 120) == float(exact), (n, u)
+
+
 @pytest.mark.parametrize("j_max", [0, 1, 2, 20, 120])
 def test_hasse_weights_match_the_difference_loop(j_max):
     """Each weight W_k is the O(J^2) integer difference loop, sum over j of

@@ -23,10 +23,6 @@ BAD_CALLS = [
     "digamma(inf)",
     "digamma(nan)",
     "digamma(5e-324)",
-    "polygamma(1.5, 2.0)",
-    "polygamma(1, inf)",
-    "polygamma(1, nan)",
-    "polygamma(3, 1e-200)",
     "hurwitz_zeta_series(inf, 1.0)",
     "hurwitz_zeta_series(nan, 1.0)",
     "hurwitz_zeta_series(2.0, inf)",
@@ -49,6 +45,7 @@ BAD_CALLS = [
     "atan_laplace_check(1.0, inf)",
     "atan_laplace_check(1.0, nan)",
     "atan_laplace_check(1.0, 1.7e308)",
+    "atan_laplace_check(1e-300, 1e10)",
     # bellpoly
     "list(partitions(2.5))",
     "complete_bell(2.5)",

@@ -1,16 +1,19 @@
 """Tests for the per-process tables of level-only arrays and of moment rows.
 
 The exp-sinh nodes, log x, each kernel on the nodes and the Abel-Plana
-weight depend on the quadrature level alone, and the Hasse head's mpf logs
-on (u, J) alone, so each is computed once and kept.  Every moment integral
-M_p(u) -- the Hasse and Bell-family tails, I_n, the inversion identity's
-integral side and zeta'(0, u) -- goes through ``quad._log_moments``, whose
-table ``quad._moment_table`` keeps the rows of the last (kernel, u, cfg), so
-n = 0..12 at one u integrate each row once.  Every table is an
-``lru_cache``.  A cache must be invisible: a cold call and a warm call give
-the same result bit for bit, and memory does not grow with the calls made.
+weight depend on the quadrature level alone, and the Hasse head's
+fixed-point logs on (u, J) alone, so each is computed once and kept.  Every
+moment integral M_p(u) -- the Hasse and Bell-family tails, I_n, the
+inversion identity's integral side and zeta'(0, u) -- goes through
+``quad._log_moments``, whose table ``quad._moment_table`` keeps the rows
+of the last (kernel, u, cfg), so n = 0..12 at one u integrate each row
+once.  Every table is an ``lru_cache``.  A cache must be invisible: a cold
+call and a warm call give the same result bit for bit, and memory does not
+grow with the calls made.
 """
 
+import importlib
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stieltjes
 from stieltjes import (
     QuadConfig,
     binet_bracket,
@@ -32,14 +36,19 @@ from stieltjes import (
 )
 from stieltjes import core, quad
 
-_CACHES = (
-    quad._es_nodes,
-    quad._abel_weight,
-    quad._kernel_on_nodes,
-    quad._moment_table,
-    core._hasse_logs,
-    core._hasse_tail_kernel,
-)
+
+def _package_caches() -> tuple:
+    """Every module-level object of the package with ``cache_clear``, each
+    once, however many modules import it."""
+    caches = {}
+    for info in pkgutil.iter_modules(stieltjes.__path__, "stieltjes."):
+        for obj in vars(importlib.import_module(info.name)).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                caches[id(obj)] = obj
+    return tuple(caches.values())
+
+
+_CACHES = _package_caches()
 
 
 def _clear_caches():
@@ -125,7 +134,7 @@ def test_second_stieltjes_suite_run_makes_no_kernel_miss():
 
 
 def test_hasse_logs_are_shared_by_a_table_at_one_u():
-    """n = 0..12 at one u compute the mpf logs once, and only the last
+    """n = 0..12 at one u compute the logs once, and only the last
     (u, J) is kept."""
     core._hasse_logs.cache_clear()
     for n in range(13):

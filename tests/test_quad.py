@@ -392,6 +392,13 @@ def test_atan_laplace_at_large_x_is_finite(x):
     assert math.isfinite(atan_laplace_check(1.0, x))
 
 
+@pytest.mark.parametrize("u,x", [(1e-200, 1e-200), (1e200, 1e200), (1e300, 3e299)])
+def test_atan_laplace_at_extreme_u(u, x):
+    """In w = u y the mass sits at w ~ 1 whatever u, so extreme u and x with
+    a moderate x/u integrate as u = 1 does."""
+    assert atan_laplace_check(u, x) < 1e-13
+
+
 def test_legendre_relation_at_its_smallest_t():
     """At t = 2^-1021, the least t accepted, the residual is still ~t/6."""
     t = 2.0**-1021

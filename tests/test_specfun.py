@@ -12,7 +12,6 @@ from stieltjes import (
     digamma,
     hurwitz_zeta_series,
     log_gamma,
-    polygamma,
 )
 
 import refs
@@ -40,26 +39,11 @@ def test_digamma_values():
     assert abs(digamma(1.4616321449683622) / -9.241265521729427e-17 - 1.0) < 1e-12
 
 
-def test_polygamma_values():
-    # psi'(1) = zeta(2), psi''(1) = -2 zeta(3)
-    assert abs(polygamma(1, 1.0) - refs.ZETA_INT[2]) < 1e-14
-    assert abs(polygamma(2, 1.0) + 2.0 * refs.ZETA_INT[3]) < 1e-13
-
-
 @pytest.mark.parametrize("fn", [log_gamma, digamma])
 def test_positive_domain(fn):
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             fn(bad)
-
-
-def test_polygamma_domain():
-    with pytest.raises(ValueError):
-        polygamma(0, 1.0)
-    with pytest.raises(ValueError):
-        polygamma(13, 1.0)
-    with pytest.raises(ValueError):
-        polygamma(1, -2.0)
 
 
 # ---------------------------------------------------------------------------
