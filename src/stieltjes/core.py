@@ -589,23 +589,17 @@ def inversion_sum(n: int, u: float = 1.0, cfg: Optional[QuadConfig] = None) -> T
 
     Returned as (sum side, integral side).  u below 28.5 e^-668 (~2.2e-289,
     ``_INVERSION_UV_MIN``) is rejected, where the integral side is truncated
-    at the last node, and so is (n, u) where its level sums overflow.  The
-    integral is ~(log(1/u) - gamma)^n/(2u); a level-L sum is ~2^(L-1) times
-    that once the peak at v ~ 1/u is resolved, and ~log(1/u) times it at
-    the first levels.  At the default 12 levels that rejects n = 8 below
-    u ~ 1.8e-283; on a grid of 0.004 decades in u it rejects every inf of
-    n = 6, 7, 8 and no finite value.
+    at the last node, and so is (n, u < 1) where log^n(u)/u overflows
+    binary64: gamma_n(u) carries that term, so the sum side's
+    ``gamma_value(n, u)`` rejects the same (n, u).  Both checks run before
+    any quadrature.
     """
     n = _require_order(n, "n", 0, 8)
     u = _require_positive(u, "u")
     if u * math.exp(_ES_ABSCISSA_LOG_CAP) < _INVERSION_UV_MIN:
         raise ValueError(f"e^(-u v) has not decayed by the last node v = e^668, got u = {u!r}")
-    lg = -math.log(u)
-    if lg > 1.0:
-        size = lg + n * math.log(lg - np.euler_gamma) - math.log(2.0)
-        spread = max(((cfg or QuadConfig()).max_level - 1) * math.log(2.0), math.log(lg))
-        if size + spread > _LOG_MAX:
-            raise ValueError(f"the integral side's level sums overflow binary64 at n = {n}, u = {u!r}")
+    if u < 1.0:
+        _shift_term(n, u)
     return _inversion_sum_side(n, u), _log_moments(binet_bracket, u, (n,), cfg)[0].value
 
 

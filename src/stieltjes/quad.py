@@ -4,10 +4,11 @@ One node family serves every integral: exp-sinh on the semi-axis [0, inf),
 y = exp(lambda sinh t) with lambda = pi/2.  A finite interval (a, b) is its
 image under y^2/(1 + y^2) = (1 + tanh(lambda sinh t))/2, which is tanh-sinh
 on the same t lattice (Takahasi & Mori 1974).  Node density doubles per
-refinement level; the absolute difference between the two finest levels is
-reported (honestly, as a heuristic) in ``QuadResult.error_estimate``.
-Convergence is declared when successive levels differ by at most
-``target_tol * max(1, |S|)`` and S is finite.
+refinement level, and level L's weights carry its step 2^-L, so a level is
+one sum of f w.  The two finest levels' difference is reported (honestly,
+as a heuristic) in ``QuadResult.error_estimate``; convergence is declared
+when they differ by at most ``target_tol * max(1, |S|)`` and S is finite
+(a sum that overflows binary64 is inf, never converged).
 
 Integrands must be vectorized: f(x) takes the whole node array and returns
 one row of samples, shape (len(x),), or a stack of k rows, (k, len(x)); any
@@ -57,7 +58,7 @@ the log-gamma integrals is provided with the same switch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -157,68 +158,49 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-def _level_sums(sample: Callable, x: np.ndarray, w: np.ndarray, level: int):
-    """sum_i f(x_i) w_i for sample(x, level): a float for one row of samples,
-    shape (len(x),), a list of floats for a stack of rows, shape (k, len(x)).
-    A non-finite sample raises IntegrandError; a sum that overflows is inf,
-    without a warning, and _refine never calls it converged."""
-    with np.errstate(all="ignore"):
-        fx = np.asarray(sample(x, level), dtype=float)
-        if fx.ndim not in (1, 2) or fx.shape[-1:] != x.shape:
-            detail = f"integrand returned shape {fx.shape} for {x.shape} nodes"
-            raise IntegrandError(x[0], detail)
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            raise IntegrandError(float(x[np.argmax(bad) % len(x)]))
-        return (fx * w).sum(axis=-1).tolist()
-
-
 def _refine(sample: Callable, nodes: Callable[[int], tuple], cfg: Optional[QuadConfig]):
     """Shared level-doubling driver; ``nodes(L)`` -> the (x, w) new at level L,
-    ``sample(x, L)`` -> the integrand on them, so that an integrand can look
-    up its own level-only arrays.
+    w carrying the step 2^-L, ``sample(x, L)`` -> the integrand on them, so
+    that an integrand can look up its own level-only arrays; each level is
+    sampled once and summed once, sum f w per row.
 
     Returns one :class:`QuadResult` per integrand row: the result for one
     row of samples, a tuple of them for a stack.  A row reports the level
     it stopped at (``max_level`` if it never converged) and the evaluations
-    through that level; a row whose total is not finite stays unconverged.
+    through that level; a row whose sum overflows to inf stays unconverged.
     """
     cfg = cfg if cfg is not None else QuadConfig()
     evaluations = 0
     for level in range(cfg.max_level + 1):
         x, w = nodes(level)
-        sums = _level_sums(sample, x, w, level)
+        with np.errstate(all="ignore"):
+            fx = np.asarray(sample(x, level), dtype=float)
+            if fx.ndim not in (1, 2) or fx.shape[-1:] != x.shape:
+                detail = f"integrand returned shape {fx.shape} for {x.shape} nodes"
+                raise IntegrandError(x[0], detail)
+            bad = ~np.isfinite(fx)
+            if bad.any():
+                raise IntegrandError(float(x[np.argmax(bad) % len(x)]))
+            pieces = (np.atleast_2d(fx) * w).sum(axis=-1).tolist()
         evaluations += len(x)
-        h = 2.0 ** (-level)
-        stacked = isinstance(sums, list)
-        pieces = [h * s for s in sums] if stacked else [h * sums]
-        if not all(map(math.isfinite, pieces)):
-            # On a finite interval near 1e308 wide, sum f w can overflow where
-            # sum f (h w) does not; a piece that is still inf stays unconverged.
-            sums = _level_sums(sample, x, h * w, level)
-            pieces = sums if stacked else [sums]
         if level == 0:
             # [value, error_estimate, evaluations, converged, level], as QuadResult
-            rows = [[piece, math.inf, 0, False, cfg.max_level] for piece in pieces]
+            rows = [[piece, math.inf, evaluations, False, cfg.max_level] for piece in pieces]
             pending = len(rows)
             continue
         for row, piece in zip(rows, pieces):
             if not row[3]:
                 total = 0.5 * row[0] + piece
-                row[1] = abs(total - row[0])
-                row[0] = total
+                row[:3] = total, abs(total - row[0]), evaluations
                 tol = cfg.target_tol * max(1.0, abs(total))
                 if level >= 2 and row[1] <= tol and math.isfinite(total):
-                    row[2:] = evaluations, True, level
+                    row[3:] = True, level
                     pending -= 1
         if not pending:
             break
-    for row in rows:
-        if not row[3]:
-            row[2] = evaluations
     # A tuple of a list, not of a generator, keeps repeated passes' memory flat.
     results = [QuadResult(*row) for row in rows]
-    return tuple(results) if stacked else results[0]
+    return tuple(results) if fx.ndim == 2 else results[0]
 
 
 def integrate_finite(
@@ -247,7 +229,7 @@ def integrate_finite(
         r = np.minimum(y, 1.0 / y)
         s = r * r / (1.0 + r * r)  # distance to the nearer endpoint over b - a
         x = np.where(y < 1.0, a + width * s, b - width * s)
-        w = width * (2.0 * s) * (1.0 - s) * (w / y)  # tanh-sinh weight
+        w = width * (2.0 * s) * (1.0 - s) * (w / y)  # tanh-sinh weight, step included
         keep = (s >= _TRUNCATION_GUARD) & (x > a) & (x < b)
         return x[keep], w[keep]
 
@@ -258,7 +240,9 @@ def integrate_finite(
 def _es_nodes(level: int) -> tuple:
     """The exp-sinh (x, w, log x) new at ``level``: t = k 2^-level in
     [_ES_T_LO, _ES_T_HI], odd k only for level >= 1, so levels 0..L make the
-    full grid of step 2^-L.  Read-only; look them up through :func:`_kept`."""
+    full grid of step h = 2^-L.  w = x lambda cosh(t) h carries the step,
+    which no other function knows.  Read-only; look them up through
+    :func:`_kept`."""
     h = 2.0 ** (-level)
     k = np.arange(math.ceil(_ES_T_LO / h), math.floor(_ES_T_HI / h) + 1)
     if level >= 1:
@@ -268,7 +252,7 @@ def _es_nodes(level: int) -> tuple:
     keep = z < _ES_ABSCISSA_LOG_CAP
     t, z = t[keep], z[keep]
     x = np.exp(z)
-    return _read_only(x, x * _LAMBDA * np.cosh(t), np.log(x))
+    return _read_only(x, x * _LAMBDA * np.cosh(t) * h, np.log(x))
 
 
 def _es_xw(level: int) -> tuple:
@@ -399,11 +383,12 @@ def binet_bracket_over_v(v):
 # --- oscillatory identity residuals -----------------------------------------
 
 
-def legendre_relation_check(t: float, cfg: Optional[QuadConfig] = None) -> float:
+def legendre_relation_check(t: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
     """Residual |2 int_0^inf sin(x t)/(e^{2 pi x} - 1) dx - (coth(t/2)/2 - 1/t)|.
 
     The oscillation is tame because e^{-2 pi x} decay dominates; the residual
-    is the analytic zero of the identity and is returned for the harness.
+    is the analytic zero of the identity and is returned for the harness in
+    the integral's QuadResult, as its value, with twice its estimate.
     t below 2^-1021 (~4.5e-308) is rejected: t/2 is then subnormal, so
     coth(t/2)/2 and 1/t no longer cancel exactly (at 5.6e-309 the residual
     is 1.6e293), and below ~5.6e-309 1/t overflows binary64.  t where x t
@@ -415,12 +400,12 @@ def legendre_relation_check(t: float, cfg: Optional[QuadConfig] = None) -> float
     if math.isinf(_WEIGHT_CUTOFF * t):
         raise ValueError(f"x t overflows binary64 on the nodes x <= {_WEIGHT_CUTOFF:g}, got t = {t!r}")
     result = _abel_plana(lambda x: np.sin(x * t), cfg)
-    closed = 0.5 / math.tanh(0.5 * t) - 1.0 / t
-    return abs(2.0 * result.value - closed)
+    residual = abs(2.0 * result.value - (0.5 / math.tanh(0.5 * t) - 1.0 / t))
+    return replace(result, value=residual, error_estimate=2.0 * result.error_estimate)
 
 
-def atan_laplace_check(u: float, x: float, cfg: Optional[QuadConfig] = None) -> float:
-    """Residual |int_0^inf e^{-u y} sin(x y)/y dy - atan(x/u)|.
+def atan_laplace_check(u: float, x: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """Residual |int_0^inf e^{-u y} sin(x y)/y dy - atan(x/u)|, in its QuadResult.
 
     Integrated in w = u y, as :func:`stieltjes.core.hurwitz_laplace` is, as
     int_0^inf e^{-w} sin(r w)/w dw with r = x/u, whose mass sits at w ~ 1
@@ -444,4 +429,4 @@ def atan_laplace_check(u: float, x: float, cfg: Optional[QuadConfig] = None) -> 
         return np.where(live, np.exp(-wl) * np.sin(rate * wl) / wl, 0.0)
 
     result = integrate_semiaxis(f, cfg)
-    return abs(result.value - math.atan2(x, u))
+    return replace(result, value=abs(result.value - math.atan2(x, u)))

@@ -581,6 +581,15 @@ def test_inversion_sum_sides_agree(n, u):
     assert abs(sum_side - integral_side) < _scaled(integral_side, 1e-11)
 
 
+@pytest.mark.parametrize("n, u", [(8, 1e-283), (8, 1e-285), (7, 1e-287)])
+def test_inversion_sum_near_its_overflow_edge(n, u):
+    """Where log^n(u)/u still fits binary64, both sides are finite and agree;
+    the integral side is near 1e305 to 1e307 there."""
+    sum_side, integral_side = inversion_sum(n, u)
+    assert math.isfinite(sum_side) and math.isfinite(integral_side)
+    assert abs(sum_side - integral_side) < 2e-14 * abs(integral_side)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_inversion_integral_side_is_i_n_at_unit_argument(n):
     _, integral_side = inversion_sum(n, 1.0)

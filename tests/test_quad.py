@@ -22,6 +22,7 @@ from stieltjes import (
     integrate_semiaxis,
     legendre_relation_check,
 )
+from stieltjes import quad
 from stieltjes.quad import _abel_plana
 
 import refs
@@ -158,8 +159,9 @@ def test_overflowing_sum_is_never_converged():
 
 
 def test_wide_interval_sum_is_scaled_before_it_overflows():
-    """On (-1e308, 0) the sum of f w overflows though h times it does not:
-    the integral of 1 is 1e308, converged, and (-1e307, 0) keeps its bits."""
+    """On (-1e308, 0) the sum of f w would overflow without the step 2^-L,
+    which the weights carry: the integral of 1 is 1e308, converged, and
+    (-1e307, 0) keeps its bits."""
 
     def one(v):
         return np.full_like(v, 1.0)
@@ -168,6 +170,38 @@ def test_wide_interval_sum_is_scaled_before_it_overflows():
     assert wide.converged and wide.value == 1e308
     narrow = integrate_finite(one, -1e307, 0.0)
     assert (narrow.value, narrow.evaluations, narrow.level) == (1e307, 74, 3)
+
+
+def _counted(f, seen):
+    """f, recording the nodes of each call in ``seen``."""
+
+    def counted(v):
+        seen.append(v)
+        return f(v)
+
+    return counted
+
+
+def test_each_level_samples_the_integrand_once():
+    """The engine samples each level once, with the step in its weights, and
+    the nodes it samples sum to ``evaluations``: on (-1e308, 0), and for
+    e^(-u v) log^8(v) B(v) at u = 1e-283, an integral near 1.6e305.  In
+    both, sums of f w without the step 2^-L would overflow."""
+    seen = []
+    wide = integrate_finite(_counted(lambda v: np.full_like(v, 1.0), seen), -1e308, 0.0)
+    assert len(seen) == wide.level + 1
+    assert sum(map(len, seen)) == wide.evaluations
+
+    u = 1e-283
+    seen = []
+    moment = integrate_semiaxis(
+        _counted(lambda v: np.exp(-u * v) * np.log(v) ** 8 * binet_bracket(v), seen)
+    )
+    assert math.isfinite(moment.value)
+    assert len(seen) == moment.level + 1
+    for level, v in enumerate(seen):
+        assert np.array_equal(v, quad._es_xw(level)[0])
+    assert sum(map(len, seen)) == moment.evaluations
 
 
 def test_level_budget_controls_accuracy():
@@ -376,12 +410,12 @@ def test_bracket_vectorized():
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_legendre_relation(t):
-    assert legendre_relation_check(t) < 1e-12
+    assert legendre_relation_check(t).value < 1e-12
 
 
 @pytest.mark.parametrize("u,x", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
 def test_atan_laplace(u, x):
-    assert atan_laplace_check(u, x) < 1e-12
+    assert atan_laplace_check(u, x).value < 1e-12
 
 
 @pytest.mark.parametrize("x", [1e19, 1e100])
@@ -389,20 +423,29 @@ def test_atan_laplace_at_large_x_is_finite(x):
     """sin(x y) overflows at the last exp-sinh nodes, where e^(-u y) is
     already 0; those nodes are masked, so the residual is finite (the
     oscillation is too fast for the nodes, so it is not small)."""
-    assert math.isfinite(atan_laplace_check(1.0, x))
+    assert math.isfinite(atan_laplace_check(1.0, x).value)
 
 
 @pytest.mark.parametrize("u,x", [(1e-200, 1e-200), (1e200, 1e200), (1e300, 3e299)])
 def test_atan_laplace_at_extreme_u(u, x):
     """In w = u y the mass sits at w ~ 1 whatever u, so extreme u and x with
     a moderate x/u integrate as u = 1 does."""
-    assert atan_laplace_check(u, x) < 1e-13
+    assert atan_laplace_check(u, x).value < 1e-13
 
 
 def test_legendre_relation_at_its_smallest_t():
     """At t = 2^-1021, the least t accepted, the residual is still ~t/6."""
     t = 2.0**-1021
-    assert legendre_relation_check(t) < t
+    assert legendre_relation_check(t).value < t
+
+
+def test_legendre_relation_reports_its_integral():
+    """The residual comes in its integral's QuadResult: at t = 1e4 the
+    default 12 levels do not converge, and 16 do."""
+    shallow = legendre_relation_check(1e4)
+    assert not shallow.converged and shallow.evaluations > 0
+    deep = legendre_relation_check(1e4, QuadConfig(max_level=16))
+    assert deep.converged and deep.value < 1e-13
 
 
 def test_residual_domain_checks():
